@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from .equations import conformal_residual, killing_residual
-from .exactalg import Poly
-from .solver import AnsatzSpec, _rref, fields_to_vectors, solve_basis, unknown_labels
+from .exactalg import Poly, back_substitute, clear_row, echelon
+from .solver import AnsatzSpec, fields_to_vectors, solve_basis, unknown_labels
 from .tensors import (
     Basis,
     Signature,
@@ -30,8 +30,7 @@ KINDS = ("ordinary", "conformal", "symmetry-operator", "symmetry-operator-confor
 
 def _ordinary_count(m: int, j: int, s: int) -> int:
     val = Fraction(s, m) * comb(j + m - 1, m - 1) * comb(j + s + m - 1, m - 1)
-    assert val.denominator == 1
-    return val.numerator
+    return _integral(val)
 
 
 def _conformal_count(m: int, j: int, s: int) -> int:
@@ -43,7 +42,12 @@ def _conformal_count(m: int, j: int, s: int) -> int:
         raise ValueError(
             "no finite conformal count for m <= 2 (infinite family) or m > 4"
         )
-    assert val.denominator == 1
+    return _integral(val)
+
+
+def _integral(val: Fraction) -> int:
+    if val.denominator != 1:
+        raise ArithmeticError(f"counting formula gave the non-integer {val}")
     return val.numerator
 
 
@@ -266,9 +270,17 @@ def _canonical_basis(
     m = signature.m
     labels = unknown_labels(j, m, degree_bound)
     vecs = fields_to_vectors(fields, j, m, degree_bound)
-    reduced = _rref([{k: Fraction(v) for k, v in vec.items()} for vec in vecs])
+    # The null vector w_f (1 at free column f, 0 at the other free columns)
+    # is orthogonal to the reduced row led by pivot p, which is therefore
+    # e_p - sum_f w_f[p] e_f.
+    pivots = echelon(clear_row(vec) for vec in vecs)
+    reduced = {p: {p: Fraction(1)} for p, _ in pivots}
+    for f in sorted({c for vec in vecs for c in vec} - reduced.keys()):
+        for p, w in back_substitute(pivots, {f: 1}).items():
+            if p != f:
+                reduced[p][f] = -w
     elements = []
-    for vec in reduced:
+    for vec in reduced.values():
         comps: dict[tuple, dict] = {}
         for u, c in vec.items():
             I, mono = labels[u]

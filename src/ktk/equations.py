@@ -173,7 +173,11 @@ def prolong(j: int, k: int, s: int, signature: Signature) -> ProlongedSystem:
                 entries[key] = entries.get(key, 0) + weight
     system = ProlongedSystem(j, k, s, signature, row_labels, col_labels, entries)
     n_e, n_u = count_eq_unknowns(j, k, s, m)
-    assert (system.n_rows, system.n_cols) == (n_e, n_u)
+    if (system.n_rows, system.n_cols) != (n_e, n_u):
+        raise RuntimeError(
+            f"prolonged system is {system.n_rows} x {system.n_cols}, "
+            f"the count gives {n_e} x {n_u}"
+        )
     return system
 
 

@@ -5,11 +5,18 @@ positive denominator), monomials are dense exponent tuples of length m, and
 polynomials are sparse term maps that never store a zero coefficient.  The
 canonical term order used everywhere (iteration, JSON output) is graded
 lexicographic: first by total degree, then by exponent tuple.
+
+This bottom layer also holds the package's only exact linear algebra:
+`echelon` (one fraction-free forward pass) and `back_substitute` (one
+solve of its pivot rows), with `clear_row` to bring rational rows to
+integers.  Every rank, nullspace, span test and matrix inverse elsewhere
+is read from these two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -250,10 +257,16 @@ class Poly:
             if not data:
                 raise ValueError("cannot infer dimension of a zero polynomial")
             dim = len(data[0]["exps"])
-        terms = {
-            tuple(t["exps"]): Fraction(int(t["num"]), int(t["den"])) for t in data
-        }
+        terms = {tuple(t["exps"]): _json_fraction(t) for t in data}
         return cls(dim, terms)
+
+
+def _json_fraction(term: Mapping) -> Fraction:
+    """The rational of a JSON term's "num"/"den" strings; a zero den is a ValueError."""
+    den = int(term["den"])
+    if not den:
+        raise ValueError(f"zero denominator in term {term!r}")
+    return Fraction(int(term["num"]), den)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -266,3 +279,90 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 def poly_diff(p: Poly, axis: int) -> Poly:
     return p.diff(axis)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def clear_row(row: Mapping, keymap: Mapping | None = None) -> dict[int, int]:
+    """Scale a sparse rational row to integers (keys optionally remapped)."""
+    denom = lcm(*(Fraction(v).denominator for v in row.values())) if row else 1
+    out = {}
+    for k, v in row.items():
+        v = Fraction(v) * denom
+        if v.denominator != 1:
+            raise ArithmeticError(f"row entry {v} not cleared by denominator {denom}")
+        if v:
+            out[keymap[k] if keymap else k] = v.numerator
+    return out
+
+
+def echelon(rows: Iterable[Mapping[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free forward elimination on sparse integer rows.
+
+    Columns are taken in increasing order.  In each, the pivot is the row
+    with the smallest absolute entry (ties by input order), and every
+    surviving row gets the two-term Bareiss update, so all intermediate
+    entries stay integral.  Returns the pivot rows as (pivot column, row)
+    pairs in elimination order; their number is the rank, and no pivot row
+    has an entry left of its pivot column.
+    """
+    active = [dict(r) for r in rows if r]
+    pivots: list[tuple[int, dict[int, int]]] = []
+    prev = 1
+    for col in sorted({c for r in active for c in r}):
+        best = None
+        for i, row in enumerate(active):
+            v = row.get(col)
+            if v and (best is None or abs(v) < abs(active[best][col])):
+                best = i
+        if best is None:
+            continue
+        pivot_row = active.pop(best)
+        pv = pivot_row[col]
+        survivors = []
+        for row in active:
+            rv = row.get(col, 0)
+            new: dict[int, int] = {}
+            if rv:
+                for c in row.keys() | pivot_row.keys():
+                    val = pv * row.get(c, 0) - rv * pivot_row.get(c, 0)
+                    if val:
+                        q, rem = divmod(val, prev)
+                        if rem:
+                            raise ArithmeticError("inexact Bareiss division")
+                        new[c] = q
+            else:
+                for c, v in row.items():
+                    q, rem = divmod(pv * v, prev)
+                    if rem:
+                        raise ArithmeticError("inexact Bareiss division")
+                    new[c] = q
+            if new:
+                survivors.append(new)
+        active = survivors
+        prev = pv
+        pivots.append((col, pivot_row))
+    return pivots
+
+
+def back_substitute(
+    pivots: list[tuple[int, dict[int, int]]], values: Mapping[int, Fraction]
+) -> dict[int, Fraction]:
+    """The solution of the pivot rows with the given non-pivot values.
+
+    Columns absent from values are zero.  Returns those values plus every
+    nonzero pivot-column value, found from the last pivot row back to the
+    first, so that each pivot row vanishes on the result.
+    """
+    out = {c: Fraction(v) for c, v in values.items()}
+    for col, row in reversed(pivots):
+        acc = Fraction(0)
+        for c, v in row.items():
+            if c != col and c in out:
+                acc += v * out[c]
+        if acc:
+            out[col] = -acc / row[col]
+    return out

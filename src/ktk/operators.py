@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .exactalg import Poly, _as_fraction, grlex_key
+from .exactalg import Poly, _as_fraction, _json_fraction, grlex_key
 from .tensors import Signature, SymTensorField
 
 
@@ -168,17 +168,10 @@ class WeylOp:
             key = (tuple(entry["x_exps"]), tuple(entry["d_exps"]))
             if dim is None:
                 dim = len(key[0])
-            terms[key] = Fraction(int(entry["num"]), int(entry["den"]))
+            terms[key] = _json_fraction(entry)
         if dim is None:
             raise ValueError("cannot infer dimension from an empty term list")
         return cls(dim, terms)
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def weyl_mul(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -199,7 +192,7 @@ def weyl_mul(A: WeylOp, B: WeylOp) -> WeylOp:
                 coeff = base
                 for i in range(dim):
                     if nu[i]:
-                        coeff *= comb(da[i], nu[i]) * _falling(xb[i], nu[i])
+                        coeff *= comb(da[i], nu[i]) * perm(xb[i], nu[i])
                 key = (
                     tuple(xa[i] + xb[i] - nu[i] for i in range(dim)),
                     tuple(da[i] + db[i] - nu[i] for i in range(dim)),

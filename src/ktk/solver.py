@@ -5,23 +5,21 @@ A candidate field is expanded as unknown rational coefficients on
 unknowns, so a complete basis is the nullspace of an integer matrix.  The
 matrix splits into small independent blocks: the ordinary residual conserves
 the per-axis count of index entries plus exponents, and the traceless variant
-still conserves its total and parity.  Elimination is fraction-free (integer
-Bareiss with smallest-magnitude pivoting), and every emitted basis is put
-into reduced echelon form over a graded-lex unknown order, so output is
-deterministic down to the byte.
+still conserves its total and parity.  Every rank, nullspace and span test
+here is read from the exact kernel in `ktk.exactalg`: one fraction-free
+(integer Bareiss) forward pass and one back-substitution.  Every emitted
+basis is in reduced echelon form over a graded-lex unknown order, so output
+is deterministic down to the byte.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
 
 from .equations import ProlongedSystem, _split_multiplicity, prolong, count_eq_unknowns
-from .exactalg import Poly, grlex_key
+from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key
 from .tensors import (
     Basis,
     Signature,
@@ -33,119 +31,26 @@ from .tensors import (
 )
 
 # ---------------------------------------------------------------------------
-# sparse exact elimination
+# nullspaces, ranks and spans, all read from the exactalg kernel
 # ---------------------------------------------------------------------------
 
 
-def _echelon_int(rows: list[dict[int, int]]) -> tuple[list[tuple[int, dict[int, int]]], int]:
-    """Fraction-free forward elimination on sparse integer rows.
-
-    Returns the pivot rows as (pivot column, row) pairs in elimination order.
-    Pivots are chosen per column by smallest absolute value (ties by input
-    order), and every surviving row is updated with the two-term Bareiss rule
-    so all intermediate entries stay integral.
-    """
-    active = [dict(r) for r in rows if r]
-    pivots: list[tuple[int, dict[int, int]]] = []
-    prev = 1
-    if not active:
-        return pivots, 0
-    todo = sorted({c for r in active for c in r})
-    for col in todo:
-        best = None
-        for i, row in enumerate(active):
-            v = row.get(col)
-            if v and (best is None or abs(v) < abs(active[best][col])):
-                best = i
-        if best is None:
-            continue
-        pivot_row = active.pop(best)
-        pv = pivot_row[col]
-        survivors = []
-        for row in active:
-            rv = row.get(col, 0)
-            new: dict[int, int] = {}
-            if rv:
-                for c in row.keys() | pivot_row.keys():
-                    val = pv * row.get(c, 0) - rv * pivot_row.get(c, 0)
-                    if val:
-                        q, rem = divmod(val, prev)
-                        assert rem == 0
-                        new[c] = q
-            else:
-                for c, v in row.items():
-                    q, rem = divmod(pv * v, prev)
-                    assert rem == 0
-                    new[c] = q
-            if new:
-                survivors.append(new)
-        active = survivors
-        prev = pv
-        pivots.append((col, pivot_row))
-    return pivots, len(pivots)
-
-
-def _clear_row(row: dict, keymap=None) -> dict[int, int]:
-    """Scale a sparse rational row to integers (keys optionally remapped)."""
-    denom = lcm(*(Fraction(v).denominator for v in row.values())) if row else 1
-    out = {}
-    for k, v in row.items():
-        v = Fraction(v) * denom
-        assert v.denominator == 1
-        if v:
-            out[keymap[k] if keymap else k] = v.numerator
-    return out
-
-
 def _nullspace_sparse(rows: list[dict[int, int]], n_cols: int) -> list[dict[int, Fraction]]:
-    """Canonical nullspace basis (reduced echelon rows over column order)."""
-    pivots, _ = _echelon_int(rows)
-    pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: list[dict[int, Fraction]] = []
-    for f in free_cols:
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for col, row in reversed(pivots):
-            acc = Fraction(0)
-            for c, v in row.items():
-                if c != col and c in vec:
-                    acc += v * vec[c]
-            if acc:
-                vec[col] = -acc / row[col]
-        basis.append(vec)
-    return _rref(basis)
+    """Canonical nullspace basis (reduced echelon rows over column order).
 
-
-def _rref(vectors: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Reduced echelon form of a list of sparse vectors (rows), leading 1s."""
-    work = [dict(v) for v in vectors if v]
-    done: list[tuple[int, dict[int, Fraction]]] = []
-    while work:
-        lead = min(min(v) for v in work)
-        best = next(i for i, v in enumerate(work) if min(v) == lead)
-        row = work.pop(best)
-        inv = 1 / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        reduced = []
-        for v in work:
-            f = v.get(lead)
-            if f:
-                v = {c: val - f * row.get(c, Fraction(0)) for c, val in (v | {c: v.get(c, Fraction(0)) for c in row}).items()}
-                v = {c: val for c, val in v.items() if val}
-            if v:
-                reduced.append(v)
-        work = reduced
-        for lead0, row0 in done:
-            f = row0.get(lead)
-            if f:
-                for c, val in row.items():
-                    row0[c] = row0.get(c, Fraction(0)) - f * val
-                    if not row0[c]:
-                        del row0[c]
-        done.append((lead, row))
-    done.sort(key=lambda t: t[0])
-    return [row for _, row in done]
+    Elimination runs on reversed column labels, so every pivot row ends at
+    its pivot column.  The solution with a 1 at free column f and 0 at the
+    other free columns then has no entry left of f: it is the reduced
+    echelon row led by f.
+    """
+    last = n_cols - 1
+    pivots = echelon([{last - c: v for c, v in row.items()} for row in rows])
+    pivot_set = {last - c for c, _ in pivots}
+    return [
+        {last - c: v for c, v in back_substitute(pivots, {last - f: 1}).items()}
+        for f in range(n_cols)
+        if f not in pivot_set
+    ]
 
 
 def nullspace(matrix: list[list]) -> list[list[Fraction]]:
@@ -157,19 +62,14 @@ def nullspace(matrix: list[list]) -> list[list[Fraction]]:
     for row in matrix:
         if len(row) != n_cols:
             raise ValueError("ragged matrix")
-        rows.append(_clear_row({c: v for c, v in enumerate(row) if Fraction(v)}))
+        rows.append(clear_row(dict(enumerate(row))))
     sparse = _nullspace_sparse(rows, n_cols)
     return [[vec.get(c, Fraction(0)) for c in range(n_cols)] for vec in sparse]
 
 
 def matrix_rank(matrix: list[list]) -> int:
     """Exact rank of a dense rational matrix."""
-    rows = [
-        _clear_row({c: v for c, v in enumerate(row) if Fraction(v)})
-        for row in matrix
-    ]
-    _, rank = _echelon_int(rows)
-    return rank
+    return len(echelon(clear_row(dict(enumerate(row))) for row in matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +80,21 @@ def matrix_rank(matrix: list[list]) -> int:
 def _labeled_to_int_rows(vectors: list[dict]) -> list[dict[int, int]]:
     labels = sorted({k for v in vectors for k in v})
     pos = {k: i for i, k in enumerate(labels)}
-    return [_clear_row(v, pos) for v in vectors]
+    return [clear_row(v, pos) for v in vectors]
+
+
+def _transposed_rows(vectors: list[dict]) -> list[dict[int, int]]:
+    """Integer rows of the matrix whose column n is vectors[n], in label order."""
+    by_label: dict = {}
+    for n, vec in enumerate(vectors):
+        for lab, v in vec.items():
+            by_label.setdefault(lab, {})[n] = v
+    return [clear_row(by_label[lab]) for lab in sorted(by_label)]
 
 
 def span_dim(vectors: list[dict]) -> int:
     """Dimension of the rational span of sparse labeled vectors."""
-    _, rank = _echelon_int(_labeled_to_int_rows(vectors))
-    return rank
+    return len(echelon(_labeled_to_int_rows(vectors)))
 
 
 def same_span(avecs: list[dict], bvecs: list[dict]) -> bool:
@@ -196,64 +104,26 @@ def same_span(avecs: list[dict], bvecs: list[dict]) -> bool:
 
 
 def independent_subset(vectors: list[dict]) -> list[int]:
-    """Indices of a maximal independent subset, greedy in input order."""
-    labels = sorted({k for v in vectors for k in v})
-    pos = {k: i for i, k in enumerate(labels)}
-    echelon: dict[int, dict[int, Fraction]] = {}
-    kept: list[int] = []
-    for n, vec in enumerate(vectors):
-        row = {pos[k]: Fraction(v) for k, v in vec.items() if Fraction(v)}
-        while row:
-            lead = min(row)
-            hit = echelon.get(lead)
-            if hit is None:
-                inv = 1 / row[lead]
-                echelon[lead] = {c: v * inv for c, v in row.items()}
-                kept.append(n)
-                break
-            f = row[lead]
-            for c, v in hit.items():
-                row[c] = row.get(c, Fraction(0)) - f * v
-                if not row[c]:
-                    del row[c]
-    return kept
+    """Indices of a maximal independent subset, greedy in input order.
+
+    Column n of the transposed system is a pivot exactly when vectors[n]
+    is independent of vectors[:n].
+    """
+    return [col for col, _ in echelon(_transposed_rows(vectors))]
 
 
 def in_rational_span(vectors: list[dict], target: dict) -> list[Fraction] | None:
     """Exact coordinates of target in span(vectors), or None if outside."""
-    labels = sorted({k for v in vectors for k in v} | set(target))
-    pos = {k: i for i, k in enumerate(labels)}
-    # Solve by elimination on the transposed system with an extra rhs column.
+    # Eliminate the transposed system with target as one more column.
     rhs_col = len(vectors)
-    rows = []
-    for lab, i in pos.items():
-        row = {}
-        for n, vec in enumerate(vectors):
-            v = Fraction(vec.get(lab, 0))
-            if v:
-                row[n] = v
-        v = Fraction(target.get(lab, 0))
-        if v:
-            row[rhs_col] = v
-        if row:
-            rows.append(_clear_row(row))
-    pivots, _ = _echelon_int(rows)
+    pivots = echelon(_transposed_rows([*vectors, target]))
     # Inconsistent iff some pivot lands on the rhs column.
     if any(col == rhs_col for col, _ in pivots):
         return None
-    coeffs = {c: Fraction(0) for c in range(len(vectors))}
-    known: dict[int, Fraction] = {rhs_col: Fraction(-1)}
-    # Back-substitute the homogeneous system (coeffs, -1) in the nullspace.
-    for col, row in reversed(pivots):
-        acc = Fraction(0)
-        for c, v in row.items():
-            if c != col:
-                acc += v * known.get(c, Fraction(0))
-        known[col] = -acc / row[col]
-    for c in coeffs:
-        coeffs[c] = known.get(c, Fraction(0))
-    result = [coeffs[c] for c in range(len(vectors))]
-    # Free columns default to zero; verify the combination reproduces target.
+    # The null vector (coeffs, -1); free columns default to zero.
+    known = back_substitute(pivots, {rhs_col: -1})
+    result = [known.get(c, Fraction(0)) for c in range(rhs_col)]
+    # Verify the combination reproduces target.
     recon: dict = {}
     for n, vec in enumerate(vectors):
         if result[n]:
@@ -337,13 +207,6 @@ class AnsatzSpec:
                 "an explicit max_degree is required"
             )
         return 2 * (self.j + self.s - 1)
-
-
-def _falling(e: int, d: int) -> int:
-    out = 1
-    for i in range(d):
-        out *= e - i
-    return out
 
 
 def _derive_monomial(mono: tuple, D: SymMultiIndex) -> tuple[tuple, int] | None:
@@ -450,20 +313,12 @@ def _content_key(label, spec: AnsatzSpec):
     return (sum(content), tuple(c % 2 for c in content))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KTK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _solve_blocks(labels, rows, key_of) -> list[dict[int, Fraction]]:
     """Nullspace of a block-diagonal system, canonical per block.
 
-    key_of maps an unknown id to its block; every row must stay inside one
-    block, which is asserted.  Returns reduced vectors in global coordinates,
-    ordered by leading unknown.
+    key_of maps an unknown id to its block; a row that crosses a block
+    boundary raises ValueError.  Returns reduced vectors in global
+    coordinates, ordered by leading unknown.
     """
     blocks: dict[object, list[int]] = {}
     for u in range(len(labels)):
@@ -473,24 +328,16 @@ def _solve_blocks(labels, rows, key_of) -> list[dict[int, Fraction]]:
         if not row:
             continue
         keys = {key_of(u) for u in row}
-        assert len(keys) == 1, "row crosses block boundary"
+        if len(keys) != 1:
+            raise ValueError("row crosses block boundary")
         row_groups[keys.pop()].append(row)
-
-    def solve_one(key):
+    out = []
+    for key in sorted(blocks, key=lambda k: (str(type(k)), k)):
         cols = blocks[key]
         local = {u: i for i, u in enumerate(cols)}
-        int_rows = [_clear_row(row, local) for row in row_groups[key]]
-        vecs = _nullspace_sparse(int_rows, len(cols))
-        return [{cols[c]: v for c, v in vec.items()} for vec in vecs]
-
-    ordered = sorted(blocks, key=lambda k: (str(type(k)), k))
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, ordered))
-    else:
-        solved = [solve_one(k) for k in ordered]
-    out = [vec for group in solved for vec in group]
+        int_rows = [clear_row(row, local) for row in row_groups[key]]
+        for vec in _nullspace_sparse(int_rows, len(cols)):
+            out.append({cols[c]: v for c, v in vec.items()})
     out.sort(key=lambda vec: min(vec))
     return out
 
@@ -583,12 +430,7 @@ def system_rank(system: ProlongedSystem) -> int:
     col_keys = [label_key(lab) for lab in system.col_labels]
     for (r, c), v in system.entries.items():
         by_block.setdefault(col_keys[c], {}).setdefault(r, {})[c] = v
-    total = 0
-    for key in sorted(by_block):
-        rows = list(by_block[key].values())
-        _, rank = _echelon_int(rows)
-        total += rank
-    return total
+    return sum(len(echelon(by_block[key].values())) for key in sorted(by_block))
 
 
 def full_rank_check(j: int, k: int, s: int, signature: Signature) -> RankReport:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .exactalg import Poly, grlex_key
+from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key
 
 SymMultiIndex = tuple  # non-decreasing tuple of axis labels in 1..m
 
@@ -255,20 +255,15 @@ _PROJECTION_CACHE: dict[tuple[int, Signature], tuple] = {}
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse: column k is the null vector of [M | -I] with 1 at n + k."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == k)) for i in range(n)] for k, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("trace-removal system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    pivots = echelon(
+        clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
+    )
+    if [col for col, _ in pivots] != list(range(n)):
+        raise ValueError("trace-removal system is singular")
+    cols = [back_substitute(pivots, {n + k: 1}) for k in range(n)]
+    return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
 
 
 def _projection_data(rank: int, sig: Signature):
@@ -377,6 +372,8 @@ class Basis:
     def __post_init__(self):
         if self.kind not in ("ordinary", "conformal"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.j < 0 or self.s < 1:
+            raise ValueError(f"invalid (j={self.j}, s={self.s})")
 
     def __len__(self) -> int:
         return len(self.elements)

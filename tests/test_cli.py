@@ -186,6 +186,38 @@ class TestOpCheck:
         assert code == 2
 
 
+class TestMalformedBasis:
+    """A malformed basis file is a configuration error on every command."""
+
+    @staticmethod
+    def _zero_den(data):
+        data["elements"][0]["components"][0]["poly"][0]["den"] = "0"
+
+    @staticmethod
+    def _zero_order(data):
+        data["s"] = 0
+
+    @pytest.mark.parametrize("command", ["verify", "op-check"])
+    @pytest.mark.parametrize("fault", ["_zero_den", "_zero_order"])
+    def test_exit_two_with_one_json_error(self, capsys, tmp_path, command, fault):
+        path = tmp_path / "b.json"
+        code, _, _ = run(
+            capsys, "basis", "--m", "3", "--rank", "1", "--kind", "ordinary",
+            "--format", "json", "--output", str(path),
+        )
+        assert code == 0
+        data = json.loads(path.read_text())
+        getattr(self, fault)(data)
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
+
+
 class TestProlongRank:
     def test_full_rank_exit_zero(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,12 @@
 """Exact linear algebra and degree-bounded basis solving."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,13 @@ class TestNullspace:
                 for row in mat:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
             assert span_dim([{i: x for i, x in enumerate(vec) if x} for vec in vecs]) == len(vecs)
+            # reduced echelon form: a 1 at each leading column, zeros at the
+            # other vectors' leading columns, vectors ordered by leading column
+            leads = [next(c for c, x in enumerate(vec) if x) for vec in vecs]
+            assert leads == sorted(set(leads))
+            for vec, lead in zip(vecs, leads):
+                assert vec[lead] == 1
+                assert all(vec[c] == 0 for c in leads if c != lead)
 
     def test_deterministic(self):
         mat = [[3, 1, -2, 0], [0, 2, 2, 2]]
@@ -105,8 +116,8 @@ class TestSpanHelpers:
         a = {0: Fraction(1)}
         c = {0: Fraction(3)}
         b = {1: Fraction(1)}
-        picked = independent_subset([a, c, b])
-        assert len(picked) == 2
+        assert independent_subset([a, c, b]) == [0, 2]
+        assert independent_subset([{}, c, a, b]) == [1, 3]
 
     def test_in_rational_span(self):
         a = {0: Fraction(1), 1: Fraction(1)}
@@ -114,6 +125,35 @@ class TestSpanHelpers:
         coeffs = in_rational_span([a, b], {0: Fraction(2), 1: Fraction(5)})
         assert coeffs == [Fraction(2), Fraction(3)]
         assert in_rational_span([a, b], {2: Fraction(1)}) is None
+
+    def test_in_rational_span_dependent_column_is_zero(self):
+        a = {0: Fraction(1), 1: Fraction(1)}
+        b = {1: Fraction(1)}
+        # the dependent column 2a is free, and free columns default to zero
+        coeffs = in_rational_span([a, {0: 2, 1: 2}, b], {0: Fraction(2), 1: Fraction(5)})
+        assert coeffs == [Fraction(2), Fraction(0), Fraction(3)]
+
+
+def test_block_crossing_row_raises_under_optimize():
+    """The block check is an explicit raise, so it survives python -O."""
+    import ktk
+
+    src = str(Path(ktk.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from ktk.solver import _solve_blocks\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    _solve_blocks(['a', 'b'], {'r': {0: 1, 1: 1}}, lambda u: u)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "row crosses block boundary"]
 
 
 class TestAnsatz:

@@ -20,7 +20,7 @@ from ktk import (
     traceless_project,
     x_squared,
 )
-from ktk.tensors import index_content
+from ktk.tensors import _invert, index_content
 
 from conftest import SIGS_BY_M, random_field
 
@@ -143,6 +143,13 @@ class TestTracelessProject:
     def test_metric_projects_to_zero(self):
         for sig in (E3, MINK):
             assert traceless_project(metric_field(sig)).is_zero()
+
+    def test_trace_system_inverse(self):
+        F = Fraction
+        assert _invert([[F(2), F(1)], [F(1), F(1)]]) == [[1, -1], [-1, 2]]
+        assert _invert([[F(0), F(1, 2)], [F(3), F(0)]]) == [[0, F(1, 3)], [2, 0]]
+        with pytest.raises(ValueError, match="singular"):
+            _invert([[F(1), F(2)], [F(2), F(4)]])
 
 
 class TestContractX:
