@@ -187,6 +187,10 @@ def _run_verify(args) -> int:
 
 def _run_op_check(args) -> int:
     basis = _load_basis(args.path)
+    if basis.s != 1:
+        raise ConfigError(
+            f"op-check builds operators from order-1 fields; the basis has s={basis.s}"
+        )
     try:
         kappa2 = Fraction(args.kappa2)
     except (ValueError, ZeroDivisionError):
@@ -198,7 +202,10 @@ def _run_op_check(args) -> int:
     results = []
     ok = True
     for n, F in enumerate(basis.elements):
-        Q = build(F)
+        try:
+            Q = build(F)
+        except ValueError as exc:
+            raise ConfigError(f"element {n}: {exc}")
         rep = check_symmetry(Q, L)
         ok = ok and rep.is_symmetry
         results.append(

@@ -5,7 +5,10 @@ coordinate factors to the left of all derivatives; composition rewrites
 d * x = x * d + 1 into that form.  Symmetry operators of the wave operator
 are assembled from symmetric tensor fields by nested anticommutators, and
 the symmetry condition [Q, L] = alpha * L is decided by exact division of
-the commutator's symbol by the principal quadratic form.
+the commutator's symbol by the principal quadratic form.  The lower-order
+completion of a conformal field is a linear solve whose factored form is
+cached once per (signature, rank, degree bound) and split by Weyl grade, and
+every completed operator is certified by that same exact division.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exactalg import Poly, _as_fraction, _json_fraction, grlex_key
-from .tensors import Signature, SymTensorField
+from .solver import independent_subset
+from .tensors import Signature, SymTensorField, _invert
 
 
 def _term_key(key: tuple) -> tuple:
@@ -330,28 +334,30 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
     )
 
 
-def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
-    """Symmetry operator of the massless equation from a traceless solution.
+# Completion data per (signature, rank, degree bound).  For each Weyl grade
+# of the remainders: the unit terms of its greedy independent columns, the
+# remainder labels on which those columns are invertible, and the sparse rows
+# of that square block's exact inverse.
+_COMPLETION_CACHE: dict[tuple[Signature, int, int], dict] = {}
 
-    The nested-anticommutator part alone fails the symmetry condition for
-    genuinely conformal fields (a special-conformal vector needs its weight
-    term), so the missing lower-order part is found by an exact linear solve:
-    unknown terms of derivative order < rank are adjusted until the
-    commutator with the principal part divides exactly.
-    """
-    from .solver import in_rational_span
 
-    sig = F.signature
+def _grade(x_exps: tuple, d_exps: tuple) -> tuple:
+    """Weyl grade of x^alpha d^beta: weight |alpha| - |beta|, parity per axis."""
+    return (sum(x_exps) - sum(d_exps),) + tuple(
+        (a - b) % 2 for a, b in zip(x_exps, d_exps)
+    )
+
+
+def _completion_data(sig: Signature, rank: int, max_x: int) -> dict:
+    key = (sig, rank, max_x)
+    cached = _COMPLETION_CACHE.get(key)
+    if cached is not None:
+        return cached
     m = sig.m
     box = KGFOperator(sig).principal()
-    lead = build_symmetry_operator(F)
-    _, rem = divide_by_principal(commutator(box, lead), sig)
-    if rem.is_zero():
-        return lead
-    max_x = max(F.max_degree(), 0)
     d_monos = [
         d
-        for deg in range(max(F.rank, 1))
+        for deg in range(max(rank, 1))
         for d in itertools.product(range(deg + 1), repeat=m)
         if sum(d) == deg
     ]
@@ -361,21 +367,81 @@ def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
         for x in itertools.product(range(deg + 1), repeat=m)
         if sum(x) == deg
     ]
-    columns = []
-    keys = []
+    # Column (x, d) is the remainder of [box, x^alpha d^beta] modulo box; both
+    # steps keep the Weyl grade, so every column lies in one grade block.
+    blocks: dict[tuple, tuple[list, list]] = {}
     for d_exps in d_monos:
         for x_exps in x_monos:
             unit = WeylOp(m, {(x_exps, d_exps): 1})
             _, r = divide_by_principal(commutator(box, unit), sig)
-            columns.append(dict(r.terms))
-            keys.append((x_exps, d_exps))
-    target = {k: -v for k, v in rem.terms.items()}
-    coeffs = in_rational_span(columns, target)
-    if coeffs is None:
+            if r:
+                units, cols = blocks.setdefault(_grade(*next(iter(r.terms))), ([], []))
+                units.append((x_exps, d_exps))
+                cols.append(r.terms)
+    data = {}
+    for grade, (units, cols) in blocks.items():
+        keep = independent_subset(cols)
+        by_label: dict[tuple, dict] = {}
+        for i, n in enumerate(keep):
+            for lab, v in cols[n].items():
+                by_label.setdefault(lab, {})[i] = v
+        labels = sorted(by_label)
+        # Independent rows of the kept columns: a square block to invert.
+        rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
+        inverse = _invert(
+            [[by_label[lab].get(i, Fraction(0)) for i in range(len(keep))] for lab in rows]
+        )
+        data[grade] = (
+            [units[n] for n in keep],
+            rows,
+            [{k: v for k, v in enumerate(inv_row) if v} for inv_row in inverse],
+        )
+    _COMPLETION_CACHE[key] = data
+    return data
+
+
+def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
+    """Symmetry operator of the massless equation from a traceless solution.
+
+    The nested-anticommutator part alone fails the symmetry condition for
+    genuinely conformal fields (a special-conformal vector needs its weight
+    term), so a lower-order part is added: terms x^alpha d^beta of derivative
+    order < rank, chosen so that the commutator with the principal part
+    divides exactly.  That solve is linear in F, and its columns (the
+    remainders of [box, x^alpha d^beta]) depend only on the signature, the
+    rank and the degree bound, so `_completion_data` factors them once per
+    such key, one block per Weyl grade (`_grade`), which [box, .] and the
+    division keep.  A field then costs one sparse product per grade its
+    remainder touches.  The result, the unique solution that is zero off the
+    greedy independent columns, is certified by exact division, or
+    ValueError.
+    """
+    sig = F.signature
+    m = sig.m
+    box = KGFOperator(sig).principal()
+    lead = build_symmetry_operator(F)
+    _, rem = divide_by_principal(commutator(box, lead), sig)
+    if rem.is_zero():
+        return lead
+    data = _completion_data(sig, F.rank, max(F.max_degree(), 0))
+    targets: dict[tuple, dict] = {}
+    for key, c in rem.terms.items():
+        targets.setdefault(_grade(*key), {})[key] = c
+    terms = {}
+    for grade, target in targets.items():
+        if grade not in data:
+            raise ValueError("field does not extend to a symmetry operator")
+        units, rows, inverse = data[grade]
+        rhs = {k: -target[lab] for k, lab in enumerate(rows) if lab in target}
+        for unit, inv_row in zip(units, inverse):
+            c = sum((v * rhs[k] for k, v in inv_row.items() if k in rhs), Fraction(0))
+            if c:
+                terms[unit] = c
+    correction = WeylOp(m, terms)
+    # The remainder is linear, so [box, lead + correction] divides exactly
+    # iff the correction's remainder cancels the lead's.
+    if not (rem + divide_by_principal(commutator(box, correction), sig)[1]).is_zero():
         raise ValueError("field does not extend to a symmetry operator")
-    correction = WeylOp(
-        m, {keys[i]: c for i, c in enumerate(coeffs) if c}
-    )
     return lead + correction
 
 

@@ -153,8 +153,8 @@ def test_criterion_03_long_top_rank_spacetime():
     if got != 490:
         failures.append(f"ordinary j=4 s=1 m=4: solver {got} != 490")
     elapsed = time.perf_counter() - t0
-    if elapsed > 1800:
-        failures.append(f"took {elapsed:.0f}s, budget 1800s")
+    if elapsed > 60:
+        failures.append(f"took {elapsed:.0f}s, budget 60s")
     _criterion("3-long", "rank-4 spacetime family has dimension 490", failures)
 
 

@@ -176,6 +176,41 @@ class TestOpCheck:
         assert data["all_pass"] is True
         assert any(r["alpha"] for r in data["results"])
 
+    @pytest.mark.parametrize("kind", ["ordinary", "conformal"])
+    def test_order_two_basis_refused(self, capsys, tmp_path, kind):
+        path = tmp_path / "s2.json"
+        code, _, _ = run(
+            capsys, "basis", "--p", "2", "--q", "1", "--rank", "1", "--order", "2",
+            "--kind", kind, "--format", "json", "--output", str(path),
+        )
+        assert code == 0
+        code, out, err = run(capsys, "op-check", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "s=2" in json.loads(lines[0])["error"]
+
+    def test_element_without_completion_is_named(self, capsys, tmp_path):
+        path = tmp_path / "cv.json"
+        run(
+            capsys, "basis", "--m", "3", "--rank", "1", "--kind", "conformal",
+            "--format", "json", "--output", str(path),
+        )
+        data = json.loads(path.read_text())
+        # the shear x1 d1 is not a conformal Killing vector
+        data["elements"][3]["components"] = [
+            {"index": [1], "poly": [{"exps": [1, 0, 0], "num": "1", "den": "1"}]}
+        ]
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "op-check", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith("element 3:")
+
     def test_bad_mass_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "kv.json"
         run(

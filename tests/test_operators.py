@@ -1,7 +1,9 @@
 """Weyl-algebra operators: composition, commutators, symmetry checks, closure."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -22,10 +24,10 @@ from ktk import (
     killing_vectors,
     lie_closure_check,
 )
-from ktk.operators import weyl_mul
+from ktk.operators import _completion_data, _grade, weyl_mul
 from ktk.solver import in_rational_span
 
-from conftest import EUCLID, M4_SIGS, SIGS_BY_M, random_field
+from conftest import EUCLID, M4_SIGS, SIGS_BY_M, random_field, solution_family
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -301,6 +303,96 @@ class TestConformalOperators:
         shear = SymTensorField(1, E3, {(1,): Poly.variable(1, 3)})
         with pytest.raises(ValueError):
             conformal_symmetry_operator(shear)
+
+    def test_remainder_in_grade_without_columns_raises(self):
+        field = SymTensorField(1, E3, {(2,): Poly.variable(1, 3)})
+        rem = _lead_remainder(field)
+        blocks = _completion_data(E3, 1, 1)
+        assert rem and not any(_grade(*key) in blocks for key in rem.terms)
+        with pytest.raises(ValueError):
+            conformal_symmetry_operator(field)
+
+    def test_certificate_rejects_remainder_outside_span(self):
+        """Every grade has columns, but no combination cancels the remainder."""
+        field = SymTensorField(1, E3, {(1,): Poly.monomial((0, 2, 0))})
+        rem = _lead_remainder(field)
+        blocks = _completion_data(E3, 1, 2)
+        assert rem and all(_grade(*key) in blocks for key in rem.terms)
+        with pytest.raises(ValueError):
+            conformal_symmetry_operator(field)
+
+    @pytest.mark.parametrize(
+        "sig", [E3, Signature(2, 1), Signature(2, 2), Signature(1, 3), EUCLID[4]]
+    )
+    def test_rank1_matches_eastwood_closed_form(self, sig):
+        """D_V = V^a d_a + ((m-2)/(2m)) d_a V^a (Eastwood, Ann. Math. 161 (2005)).
+
+        In the stored convention each derivative slot carries g(a) and the
+        operator is twice D_V, so the completed operator may differ from
+        sum_a g(a) (2 V^a d_a + ((m-2)/m) d_a V^a) only by a constant.  That
+        happens for the dilation alone, which needs no completion.
+        """
+        m = sig.m
+        differing = 0
+        for V in conformal_vectors(sig).elements:
+            closed = WeylOp.zero(m)
+            for (a,), comp in V.components.items():
+                closed = closed + (WeylOp.from_poly(comp) * D(a, m)).scale(2 * sig.g(a))
+                weight = WeylOp.from_poly(comp.diff(a)).scale(Fraction(m - 2, m))
+                closed = closed + weight.scale(sig.g(a))
+            Q = conformal_symmetry_operator(V)
+            assert (Q - closed).order() <= 0
+            if Q != closed:
+                differing += 1
+                assert Q == build_symmetry_operator(V)
+        assert differing <= 1
+
+
+def _lead_remainder(F):
+    """Remainder of [box, built operator of F] modulo box."""
+    lead = build_symmetry_operator(F)
+    return divide_by_principal(commutator(kgf(F.signature).principal(), lead), F.signature)[1]
+
+
+@lru_cache(maxsize=None)
+def _per_field_columns(sig, rank, max_x):
+    """Every unit term of derivative order < rank and its column, in order."""
+    m = sig.m
+    box = kgf(sig).principal()
+    d_monos = [d for deg in range(max(rank, 1))
+               for d in itertools.product(range(deg + 1), repeat=m) if sum(d) == deg]
+    x_monos = [x for deg in range(max_x + 1)
+               for x in itertools.product(range(deg + 1), repeat=m) if sum(x) == deg]
+    keys, columns = [], []
+    for d_exps in d_monos:
+        for x_exps in x_monos:
+            unit = WeylOp(m, {(x_exps, d_exps): 1})
+            keys.append((x_exps, d_exps))
+            columns.append(dict(divide_by_principal(commutator(box, unit), sig)[1].terms))
+    return keys, columns
+
+
+def _per_field_completion(F):
+    """The completion solved on its own for one field, by in_rational_span."""
+    sig = F.signature
+    lead = build_symmetry_operator(F)
+    rem = _lead_remainder(F)
+    if rem.is_zero():
+        return lead
+    keys, columns = _per_field_columns(sig, F.rank, max(F.max_degree(), 0))
+    coeffs = in_rational_span(columns, {k: -v for k, v in rem.terms.items()})
+    if coeffs is None:
+        raise ValueError("field does not extend to a symmetry operator")
+    return lead + WeylOp(sig.m, {keys[i]: c for i, c in enumerate(coeffs) if c})
+
+
+class TestCompletionOracle:
+    @pytest.mark.parametrize("sig", [E3, Signature(2, 1), Signature(1, 3)])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_factored_completion_equals_per_field_solve(self, sig, j):
+        basis = solution_family("conformal", j, 1, sig.p, sig.q)
+        for F in basis.elements:
+            assert conformal_symmetry_operator(F) == _per_field_completion(F)
 
 
 class TestLieClosure:
