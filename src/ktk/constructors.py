@@ -14,12 +14,19 @@ from fractions import Fraction
 from math import comb
 
 from .equations import conformal_residual, killing_residual
-from .exactalg import Poly, back_substitute, clear_row, echelon
-from .solver import AnsatzSpec, fields_to_vectors, solve_basis, unknown_labels
+from .exactalg import Poly, back_substitute, clear_row, echelon, monomials_upto
+from .solver import (
+    AnsatzSpec,
+    fields_to_vectors,
+    solve_basis,
+    unknown_labels,
+    vectors_to_fields,
+)
 from .tensors import (
     Basis,
     Signature,
     SymTensorField,
+    contract_x,
     enumerate_indices,
     traceless_project,
     x_squared,
@@ -191,35 +198,13 @@ def lemma3_scale(F: SymTensorField, phi: Poly, order: int) -> SymTensorField:
     )
 
 
-def _plain_contract(F: SymTensorField) -> SymTensorField:
-    """Contract one index with the plain coordinate x^b (no metric weight).
-
-    Under the stored-in-coordinates convention the metric signs of the
-    covariant contraction cancel, and this is the version that raises the
-    order of a solution by one; the g-weighted contract_x does not in
-    indefinite signature.
-    """
-    sig = F.signature
-    m = sig.m
-    out: dict[tuple, Poly] = {}
-    for idx in enumerate_indices(F.rank - 1, m):
-        total = Poly.zero(m)
-        for b in range(1, m + 1):
-            poly = F.components.get(tuple(sorted(idx + (b,))))
-            if poly is not None:
-                total = total + poly * Poly.variable(b, m)
-        if total:
-            out[idx] = total
-    return SymTensorField(F.rank - 1, sig, out)
-
-
 def lemma4_contract(F: SymTensorField, order: int) -> SymTensorField:
     """Contract one index with x: rank drops by one, order rises by one."""
     if F.rank < 1:
         raise ValueError("rank must be >= 1")
     if not killing_residual(F, order).is_zero():
         raise ValueError(f"field does not satisfy the order-{order} system")
-    return _plain_contract(F)
+    return contract_x(F, metric=False)
 
 
 def _metric_hessian_scale(phi: Poly, sig: Signature) -> Fraction | None:
@@ -267,9 +252,8 @@ def _canonical_basis(
     degree_bound: int,
 ) -> Basis:
     """Echelon-normalize a spanning family into a canonical Basis."""
-    m = signature.m
-    labels = unknown_labels(j, m, degree_bound)
-    vecs = fields_to_vectors(fields, j, m, degree_bound)
+    labels = unknown_labels(j, signature.m, degree_bound)
+    vecs = fields_to_vectors(fields, j, signature.m, degree_bound)
     # The null vector w_f (1 at free column f, 0 at the other free columns)
     # is orthogonal to the reduced row led by pivot p, which is therefore
     # e_p - sum_f w_f[p] e_f.
@@ -279,15 +263,7 @@ def _canonical_basis(
         for p, w in back_substitute(pivots, {f: 1}).items():
             if p != f:
                 reduced[p][f] = -w
-    elements = []
-    for vec in reduced.values():
-        comps: dict[tuple, dict] = {}
-        for u, c in vec.items():
-            I, mono = labels[u]
-            comps.setdefault(I, {})[mono] = c
-        elements.append(
-            SymTensorField(j, signature, {I: Poly(m, t) for I, t in comps.items()})
-        )
+    elements = vectors_to_fields(list(reduced.values()), labels, j, signature)
     return Basis(kind, j, s, signature, elements, degree_bound=degree_bound)
 
 
@@ -313,17 +289,11 @@ def _ordinary_family(j: int, s: int, signature: Signature) -> list[SymTensorFiel
                 SymTensorField(j, signature, {i: p * phi for i, p in F.components.items()})
             )
     for G in _ordinary_family(j + 1, s - 1, signature):
-        fields.append(_plain_contract(G))
+        fields.append(contract_x(G, metric=False))
     # free solutions: every monomial field of degree < s
     for I in enumerate_indices(j, m):
-        for d in range(s):
-            for mono in itertools.combinations_with_replacement(range(1, m + 1), d):
-                exps = [0] * m
-                for a in mono:
-                    exps[a - 1] += 1
-                fields.append(
-                    SymTensorField(j, signature, {I: Poly.monomial(tuple(exps))})
-                )
+        for exps in monomials_upto(m, s - 1):
+            fields.append(SymTensorField(j, signature, {I: Poly.monomial(exps)}))
     return fields
 
 
@@ -350,16 +320,10 @@ def _conformal_family(j: int, s: int, signature: Signature) -> list[SymTensorFie
             )
     # traceless free solutions of degree < s
     for I in enumerate_indices(j, m):
-        for d in range(s):
-            for mono in itertools.combinations_with_replacement(range(1, m + 1), d):
-                exps = [0] * m
-                for a in mono:
-                    exps[a - 1] += 1
-                cand = traceless_project(
-                    SymTensorField(j, signature, {I: Poly.monomial(tuple(exps))})
-                )
-                if not cand.is_zero():
-                    fields.append(cand)
+        for exps in monomials_upto(m, s - 1):
+            cand = traceless_project(SymTensorField(j, signature, {I: Poly.monomial(exps)}))
+            if not cand.is_zero():
+                fields.append(cand)
     return fields
 
 

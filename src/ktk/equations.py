@@ -10,11 +10,12 @@ is what the counting helpers below report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .exactalg import Poly
+from .exactalg import Poly, _json_fraction
 from .tensors import (
     Signature,
     SymMultiIndex,
@@ -25,43 +26,57 @@ from .tensors import (
 )
 
 
-def _split_multiplicity(K: SymMultiIndex, D: SymMultiIndex) -> int:
-    """Number of ways to pick positions of K realizing the sub-multiset D."""
-    mult = 1
-    for a in set(D):
-        mult *= comb(K.count(a), D.count(a))
-    return mult
+@functools.cache
+def stencil(j: int, s: int, m: int) -> dict[SymMultiIndex, tuple]:
+    """The order-s residual stencil: rank-j index I -> ((D, K, weight), ...).
+
+    D runs over the size-s derivative multi-indices in lexicographic order,
+    K = sort(I + D) is the residual index, and weight counts the position
+    sets of K that carry D: residual[K] = sum of weight * d^D F[I].
+    """
+    out = {}
+    for I in enumerate_indices(j, m):
+        entries = []
+        for D in enumerate_indices(s, m):
+            K = tuple(sorted(I + D))
+            entries.append((D, K, prod(comb(K.count(a), D.count(a)) for a in set(D))))
+        out[I] = tuple(entries)
+    return out
 
 
-def _derive(poly: Poly, D: SymMultiIndex) -> Poly:
-    for axis in D:
-        if poly.is_zero():
-            break
-        poly = poly.diff(axis)
-    return poly
+def residual_terms(I: SymMultiIndex, mono: tuple, s: int, m: int):
+    """Terms (K, beta, factor) of the order-s residual of the unit field x^mono at I."""
+    for D, K, weight in stencil(len(I), s, m)[I]:
+        exps = list(mono)
+        factor = weight
+        for a in D:
+            e = exps[a - 1]
+            if not e:
+                break
+            factor *= e
+            exps[a - 1] = e - 1
+        else:
+            yield K, tuple(exps), factor
 
 
 def killing_residual(F: SymTensorField, s: int) -> SymTensorField:
     """Symmetrized s-fold derivative of F, a rank j+s field.
 
-    The component at K sums, over the distinct size-s derivative sub-multisets
-    D of K, the position-count weight times the D-derivative of F at K - D.
+    The component at K sums, over the stencil entries (D, K, weight), the
+    weight times the D-derivative of F at the index that D extends to K.
     The result is zero exactly when F is a rank-j, order-s Killing tensor.
     """
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
     sig = F.signature
-    out: dict[SymMultiIndex, Poly] = {}
+    m = sig.m
+    out: dict[SymMultiIndex, dict] = {}
     for idx, poly in F.components.items():
-        for D in enumerate_indices(s, sig.m):
-            derived = _derive(poly, D)
-            if derived.is_zero():
-                continue
-            K = tuple(sorted(idx + D))
-            term = derived.scale(_split_multiplicity(K, D))
-            acc = out.get(K)
-            out[K] = term if acc is None else acc + term
-    return SymTensorField(F.rank + s, sig, out)
+        for mono, c in poly.terms.items():
+            for K, beta, factor in residual_terms(idx, mono, s, m):
+                terms = out.setdefault(K, {})
+                terms[beta] = terms.get(beta, 0) + c * factor
+    return SymTensorField(F.rank + s, sig, {K: Poly(m, t) for K, t in out.items()})
 
 
 def conformal_residual(F: SymTensorField, s: int) -> SymTensorField:
@@ -124,19 +139,26 @@ class ProlongedSystem:
         system = prolong(j, k, s, sig)
         if data["rows"] != system.n_rows or data["cols"] != system.n_cols:
             raise ValueError("matrix shape does not match (j, k, s, signature)")
-        system.entries = {
-            (r, c): int(Fraction(int(num), int(den)))
-            for r, c, num, den in data["entries"]
-        }
+        entries = {}
+        for r, c, num, den in data["entries"]:
+            v = _json_fraction({"num": num, "den": den})
+            if v.denominator != 1:
+                raise ValueError(f"entry ({r}, {c}) = {v} is not an integer")
+            if r not in range(system.n_rows) or c not in range(system.n_cols):
+                raise ValueError(f"entry ({r!r}, {c!r}) lies outside the matrix")
+            if (r, c) in entries:
+                raise ValueError(f"entry ({r}, {c}) is given twice")
+            entries[(r, c)] = v.numerator
+        system.entries = entries
         return system
 
 
 def prolong(j: int, k: int, s: int, signature: Signature) -> ProlongedSystem:
     """Assemble the prolonged linear system for (j, k, s) over the signature.
 
-    Row (K, B) states that the symmetrized derivative split of K, further
-    differentiated by B, vanishes; the unknown hit by the split D = K - I is
-    the derivative component (I, sort(D + B)) with the position-count weight.
+    Row (K, B) states that the residual component K, further differentiated
+    by B, vanishes: each stencil entry (D, K, weight) of a base index I puts
+    its weight on the derivative component (I, sort(D + B)).
     """
     if j < 0 or k < 0:
         raise ValueError(f"invalid (j={j}, k={k})")
@@ -158,19 +180,10 @@ def prolong(j: int, k: int, s: int, signature: Signature) -> ProlongedSystem:
     row_pos = {label: r for r, label in enumerate(row_labels)}
     col_pos = {label: c for c, label in enumerate(col_labels)}
     entries: dict[tuple[int, int], int] = {}
-    for K in eq_indices:
-        for D in enumerate_indices(s, m):
-            if any(D.count(a) > K.count(a) for a in set(D)):
-                continue
-            I = list(K)
-            for a in D:
-                I.remove(a)
-            I = tuple(I)
-            weight = _split_multiplicity(K, D)
+    for I, terms in stencil(j, s, m).items():
+        for D, K, weight in terms:
             for B in extra_indices:
-                C = tuple(sorted(D + B))
-                key = (row_pos[(K, B)], col_pos[(I, C)])
-                entries[key] = entries.get(key, 0) + weight
+                entries[(row_pos[(K, B)], col_pos[(I, tuple(sorted(D + B)))])] = weight
     system = ProlongedSystem(j, k, s, signature, row_labels, col_labels, entries)
     n_e, n_u = count_eq_unknowns(j, k, s, m)
     if (system.n_rows, system.n_cols) != (n_e, n_u):

@@ -15,6 +15,7 @@ is read from these two.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping
@@ -269,16 +270,15 @@ def _json_fraction(term: Mapping) -> Fraction:
     return Fraction(int(term["num"]), den)
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_diff(p: Poly, axis: int) -> Poly:
-    return p.diff(axis)
+def monomials_upto(m: int, degree: int) -> list[Monomial]:
+    """All exponent tuples of total degree <= degree, graded-lex order."""
+    out = [
+        exps
+        for exps in itertools.product(range(degree + 1), repeat=m)
+        if sum(exps) <= degree
+    ]
+    out.sort(key=grlex_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

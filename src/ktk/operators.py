@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exactalg import Poly, _as_fraction, _json_fraction, grlex_key
+from .exactalg import Poly, _as_fraction, _json_fraction, grlex_key, monomials_upto
 from .solver import independent_subset
 from .tensors import Signature, SymTensorField, _invert
 
@@ -355,18 +355,8 @@ def _completion_data(sig: Signature, rank: int, max_x: int) -> dict:
         return cached
     m = sig.m
     box = KGFOperator(sig).principal()
-    d_monos = [
-        d
-        for deg in range(max(rank, 1))
-        for d in itertools.product(range(deg + 1), repeat=m)
-        if sum(d) == deg
-    ]
-    x_monos = [
-        x
-        for deg in range(max_x + 1)
-        for x in itertools.product(range(deg + 1), repeat=m)
-        if sum(x) == deg
-    ]
+    d_monos = monomials_upto(m, max(rank, 1) - 1)
+    x_monos = monomials_upto(m, max_x)
     # Column (x, d) is the remainder of [box, x^alpha d^beta] modulo box; both
     # steps keep the Weyl grade, so every column lies in one grade block.
     blocks: dict[tuple, tuple[list, list]] = {}

@@ -14,12 +14,11 @@ is deterministic down to the byte.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import ProlongedSystem, _split_multiplicity, prolong, count_eq_unknowns
-from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key
+from .equations import ProlongedSystem, count_eq_unknowns, prolong, residual_terms
+from .exactalg import Poly, back_substitute, clear_row, echelon, monomials_upto
 from .tensors import (
     Basis,
     Signature,
@@ -140,17 +139,6 @@ def in_rational_span(vectors: list[dict], target: dict) -> list[Fraction] | None
 # ---------------------------------------------------------------------------
 
 
-def monomials_upto(m: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, graded-lex order."""
-    out = [
-        exps
-        for exps in itertools.product(range(degree + 1), repeat=m)
-        if sum(exps) <= degree
-    ]
-    out.sort(key=grlex_key)
-    return out
-
-
 def unknown_labels(j: int, m: int, max_degree: int) -> list[tuple[SymMultiIndex, tuple]]:
     """Ansatz unknowns (index, monomial), graded-lex on monomial then index."""
     return [
@@ -170,6 +158,21 @@ def field_vector(F: SymTensorField, labels_pos: dict) -> dict:
                 raise ValueError(f"component {key} outside the ansatz degree bound")
             vec[labels_pos[key]] = c
     return vec
+
+
+def vectors_to_fields(
+    vectors: list[dict], labels: list, j: int, signature: Signature
+) -> list[SymTensorField]:
+    """The fields whose ansatz coordinates (over labels) are the given vectors."""
+    fields = []
+    for vec in vectors:
+        comps: dict[SymMultiIndex, dict] = {}
+        for u, c in vec.items():
+            I, mono = labels[u]
+            comps.setdefault(I, {})[mono] = c
+        polys = {I: Poly(signature.m, t) for I, t in comps.items()}
+        fields.append(SymTensorField(j, signature, polys))
+    return fields
 
 
 def fields_to_vectors(fields: list[SymTensorField], j: int, m: int, max_degree: int) -> list[dict]:
@@ -209,87 +212,42 @@ class AnsatzSpec:
         return 2 * (self.j + self.s - 1)
 
 
-def _derive_monomial(mono: tuple, D: SymMultiIndex) -> tuple[tuple, int] | None:
-    """(shifted monomial, integer factor) for the D-derivative of x^mono."""
-    exps = list(mono)
-    factor = 1
-    for a in D:
-        i = a - 1
-        if exps[i] == 0:
-            return None
-        factor *= exps[i]
-        exps[i] -= 1
-    return tuple(exps), factor
-
-
-def _residual_rows(spec: AnsatzSpec, max_degree: int, labels_pos: dict):
+def _residual_rows(spec: AnsatzSpec, labels_pos: dict):
     """Rows of the order-s residual, keyed (residual index, monomial)."""
     m = spec.signature.m
-    s = spec.s
     rows: dict[tuple, dict[int, Fraction]] = {}
-    derivs = enumerate_indices(s, m)
     for (I, mono), u in labels_pos.items():
-        for D in derivs:
-            hit = _derive_monomial(mono, D)
-            if hit is None:
-                continue
-            beta, factor = hit
-            K = tuple(sorted(I + D))
-            coeff = Fraction(factor * _split_multiplicity(K, D))
+        for K, beta, factor in residual_terms(I, mono, spec.s, m):
             row = rows.setdefault((K, beta), {})
-            row[u] = row.get(u, Fraction(0)) + coeff
+            row[u] = row.get(u, Fraction(0)) + factor
     return rows
 
 
 def _conformal_rows(spec: AnsatzSpec, max_degree: int, labels_pos: dict):
-    """Traceless-residual rows plus trace-side-constraint rows."""
+    """Traceless-residual rows plus trace-side-constraint rows.
+
+    The residual rows of one monomial beta are mapped by the traceless
+    projector: the row at (K, beta) adds P[K'][K] times itself to the row at
+    (K', beta).  Rows come out by beta, then by index.
+    """
     sig = spec.signature
     m = sig.m
-    raw = _residual_rows(spec, max_degree, labels_pos)
-    rank = spec.j + spec.s
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    if rank >= 2 and m >= 2:
-        idx_j, idx_t, outer, tr, inv = _projection_data(rank, sig)
-        nj, nt = len(idx_j), len(idx_t)
-        # projection = 1 - outer . inv . tr on rank-(j+s) coefficient tensors
-        invtr = [
-            [
-                sum((inv[r][t] * tr[t][k2] for t in range(nt)), Fraction(0))
-                for k2 in range(nj)
-            ]
-            for r in range(nt)
-        ]
-        proj = [
-            [
-                (Fraction(1) if k == k2 else Fraction(0))
-                - sum((outer[k][r] * invtr[r][k2] for r in range(nt)), Fraction(0))
-                for k2 in range(nj)
-            ]
-            for k in range(nj)
-        ]
-        pos_j = {idx: n for n, idx in enumerate(idx_j)}
-        by_beta: dict[tuple, dict[int, dict[int, Fraction]]] = {}
-        for (K, beta), row in raw.items():
-            by_beta.setdefault(beta, {})[pos_j[K]] = row
+    rows = _residual_rows(spec, labels_pos)
+    if spec.j + spec.s >= 2:
+        columns = _projection_data(spec.j + spec.s, sig)
+        by_beta: dict[tuple, dict] = {}
+        for (K, beta), row in rows.items():
+            by_beta.setdefault(beta, {})[K] = row
+        rows = {}
         for beta, krows in by_beta.items():
-            for k in range(nj):
-                out_row: dict[int, Fraction] = {}
-                for k2, row in krows.items():
-                    f = proj[k][k2]
-                    if not f:
-                        continue
-                    for u, v in row.items():
-                        acc = out_row.get(u, Fraction(0)) + f * v
-                        if acc:
-                            out_row[u] = acc
-                        elif u in out_row:
-                            del out_row[u]
-                if out_row:
-                    rows[(idx_j[k], beta)] = out_row
-    elif rank >= 2 and m == 1:
-        pass  # every rank >= 2 tensor in one dimension is pure trace
-    else:
-        rows.update(raw)
+            projected: dict[SymMultiIndex, dict[int, Fraction]] = {}
+            for K, row in krows.items():
+                for K2, v in columns[K]:
+                    out = projected.setdefault(K2, {})
+                    for u, c in row.items():
+                        out[u] = out.get(u, 0) + v * c
+            for K2 in sorted(projected):
+                rows[(K2, beta)] = {u: c for u, c in projected[K2].items() if c}
     if spec.j >= 2:
         for T0 in enumerate_indices(spec.j - 2, m):
             for mono in monomials_upto(m, max_degree):
@@ -349,23 +307,11 @@ def solve_basis(spec: AnsatzSpec) -> Basis:
     labels = unknown_labels(spec.j, m, max_degree)
     labels_pos = {lab: i for i, lab in enumerate(labels)}
     if spec.kind == "ordinary":
-        rows = _residual_rows(spec, max_degree, labels_pos)
+        rows = _residual_rows(spec, labels_pos)
     else:
         rows = _conformal_rows(spec, max_degree, labels_pos)
     vectors = _solve_blocks(labels, rows, lambda u: _content_key(labels[u], spec))
-    elements = []
-    for vec in vectors:
-        comps: dict[SymMultiIndex, dict] = {}
-        for u, c in vec.items():
-            I, mono = labels[u]
-            comps.setdefault(I, {})[mono] = c
-        elements.append(
-            SymTensorField(
-                spec.j,
-                spec.signature,
-                {I: Poly(m, terms) for I, terms in comps.items()},
-            )
-        )
+    elements = vectors_to_fields(vectors, labels, spec.j, spec.signature)
     return Basis(
         kind=spec.kind,
         j=spec.j,

@@ -249,9 +249,8 @@ def metric_outer(T: SymTensorField) -> SymTensorField:
     return SymTensorField(j + 2, sig, out)
 
 
-# Projection data per (rank, signature): the matrix of metric_outer on
-# coefficient tensors and the inverse of (trace o metric_outer).
-_PROJECTION_CACHE: dict[tuple[int, Signature], tuple] = {}
+# Traceless projector per (rank, signature): for each index, its column of P.
+_PROJECTION_CACHE: dict[tuple[int, Signature], dict] = {}
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -266,7 +265,13 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
 
 
-def _projection_data(rank: int, sig: Signature):
+def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
+    """Sparse columns of the traceless projector on rank-`rank` coefficient tensors.
+
+    P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
+    is `trace` on coefficient tensors; the column of index I lists the
+    nonzero (K, P[K][I]).  Built once per key, and the only place P is built.
+    """
     key = (rank, sig)
     cached = _PROJECTION_CACHE.get(key)
     if cached is not None:
@@ -275,26 +280,33 @@ def _projection_data(rank: int, sig: Signature):
     idx_j = enumerate_indices(rank, m)
     idx_t = enumerate_indices(rank - 2, m)
     pos_j = {idx: n for n, idx in enumerate(idx_j)}
-    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k
-    outer = [[Fraction(0)] * len(idx_t) for _ in idx_j]
+    nj, nt = len(idx_j), len(idx_t)
+    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k;
+    # tr[t][k] = trace matrix on rank-j coefficient tensors
+    outer = [[Fraction(0)] * nt for _ in idx_j]
+    tr = [[Fraction(0)] * nj for _ in idx_t]
     for tn, tidx in enumerate(idx_t):
         for a in range(1, m + 1):
             kidx = tuple(sorted(tidx + (a, a)))
             outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
-    # tr[t][k] = trace matrix on rank-j coefficient tensors
-    tr = [[Fraction(0)] * len(idx_j) for _ in idx_t]
-    for tn, tidx in enumerate(idx_t):
-        for a in range(1, m + 1):
-            kidx = tuple(sorted(tidx + (a, a)))
             tr[tn][pos_j[kidx]] += sig.g(a)
     composed = [
-        [
-            sum((tr[r][k] * outer[k][c] for k in range(len(idx_j))), Fraction(0))
-            for c in range(len(idx_t))
-        ]
-        for r in range(len(idx_t))
+        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
+        for r in range(nt)
     ]
-    data = (idx_j, idx_t, outer, tr, _invert(composed))
+    inv = _invert(composed)
+    invtr = [
+        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
+        for r in range(nt)
+    ]
+    data = {}
+    for i, idx in enumerate(idx_j):
+        column = []
+        for k, kidx in enumerate(idx_j):
+            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
+            if v:
+                column.append((kidx, v))
+        data[idx] = column
     _PROJECTION_CACHE[key] = data
     return data
 
@@ -302,46 +314,33 @@ def _projection_data(rank: int, sig: Signature):
 def traceless_project(F: SymTensorField) -> SymTensorField:
     """Traceless part of F: subtract a sym(g (x) T) making every trace vanish.
 
-    The correction T is the unique solution of trace(F - metric_outer(T)) = 0,
-    solved exactly per monomial on coefficient tensors.  Rank 0 and 1 fields
-    are returned unchanged.
+    The correction T is the unique solution of trace(F - metric_outer(T)) = 0;
+    the map is the projector of `_projection_data`, which adds P[K][I] times
+    the component at I to the component at K.  Rank 0 and 1 fields are
+    returned unchanged.
     """
     if F.rank < 2:
         return F
     sig = F.signature
-    idx_j, idx_t, outer, tr, inv = _projection_data(F.rank, sig)
-    monomials = set()
-    for poly in F.components.values():
-        monomials.update(poly.terms)
-    out: dict[SymMultiIndex, dict] = {idx: {} for idx in idx_j}
-    for mono in monomials:
-        f_vec = [F.components[idx].terms[mono]
-                 if idx in F.components and mono in F.components[idx].terms
-                 else Fraction(0)
-                 for idx in idx_j]
-        rhs = [
-            sum((row[k] * f_vec[k] for k in range(len(idx_j)) if f_vec[k]), Fraction(0))
-            for row in tr
-        ]
-        t_vec = [
-            sum((inv[r][c] * rhs[c] for c in range(len(idx_t)) if rhs[c]), Fraction(0))
-            for r in range(len(idx_t))
-        ]
-        for k, idx in enumerate(idx_j):
-            corrected = f_vec[k] - sum(
-                (outer[k][c] * t_vec[c] for c in range(len(idx_t)) if t_vec[c]),
-                Fraction(0),
-            )
-            if corrected:
-                out[idx][mono] = corrected
-    comps = {
-        idx: Poly(sig.m, terms) for idx, terms in out.items() if terms
-    }
-    return SymTensorField(F.rank, sig, comps)
+    columns = _projection_data(F.rank, sig)
+    out: dict[SymMultiIndex, dict] = {}
+    for idx, poly in F.components.items():
+        for K, v in columns[idx]:
+            terms = out.setdefault(K, {})
+            for mono, c in poly.terms.items():
+                terms[mono] = terms.get(mono, 0) + v * c
+    return SymTensorField(F.rank, sig, {K: Poly(sig.m, out[K]) for K in sorted(out)})
 
 
-def contract_x(F: SymTensorField) -> SymTensorField:
-    """Contract one index with the lowered coordinate: sum_b F[..b] * g_bb x^b."""
+def contract_x(F: SymTensorField, metric: bool = True) -> SymTensorField:
+    """Contract one index with x: sum_b F[..b] * g_bb x^b.
+
+    With metric=False the weight g_bb is dropped (the plain coordinate x^b).
+    Under the stored-in-coordinates convention the metric signs of the
+    covariant contraction cancel, and that plain version is the one that
+    raises the order of a solution by one; the g-weighted one does not in
+    indefinite signature.
+    """
     if F.rank < 1:
         raise ValueError("contract_x needs rank >= 1")
     sig = F.signature
@@ -352,7 +351,8 @@ def contract_x(F: SymTensorField) -> SymTensorField:
         for b in range(1, m + 1):
             poly = F.components.get(tuple(sorted(idx + (b,))))
             if poly is not None:
-                total = total + poly * Poly.variable(b, m).scale(sig.g(b))
+                x_b = Poly.variable(b, m)
+                total = total + poly * (x_b.scale(sig.g(b)) if metric else x_b)
         if total:
             out[idx] = total
     return SymTensorField(F.rank - 1, sig, out)

@@ -305,6 +305,18 @@ class TestLemma5:
 
 
 class TestBuildBasis:
+    FIRST_ORDER = [
+        ("ordinary", j, 1, sig) for m in (2, 3) for sig in SIGS_BY_M[m] for j in (1, 2)
+    ]
+    HIGHER_ORDER = [
+        ("ordinary", 1, 2, E2, 8),
+        ("ordinary", 1, 2, E3, 20),
+        ("ordinary", 0, 2, Signature(1, 1), 3),
+        ("conformal", 1, 2, E3, 35),
+        ("conformal", 0, 2, Signature(2, 1), 5),
+    ]
+    ELEMENTWISE = ("ordinary", 2, 2, E2)
+
     def _spans_match(self, basis, spec):
         solved = solve_basis(spec)
         assert len(basis) == len(solved)
@@ -314,30 +326,32 @@ class TestBuildBasis:
         assert same_span(a, b)
 
     def test_first_order_families(self):
-        for m in (2, 3):
-            for sig in SIGS_BY_M[m]:
-                for j in (1, 2):
-                    basis = build_order_s_basis("ordinary", j, 1, sig)
-                    assert len(basis) == count("ordinary", m, j, 1)
-                    self._spans_match(basis, AnsatzSpec("ordinary", j, 1, sig))
+        for kind, j, s, sig in self.FIRST_ORDER:
+            basis = build_order_s_basis(kind, j, s, sig)
+            assert len(basis) == count(kind, sig.m, j, s)
+            self._spans_match(basis, AnsatzSpec(kind, j, s, sig))
 
     def test_higher_order_families(self):
-        cases = [
-            ("ordinary", 1, 2, E2, 8),
-            ("ordinary", 1, 2, E3, 20),
-            ("ordinary", 0, 2, Signature(1, 1), 3),
-            ("conformal", 1, 2, E3, 35),
-            ("conformal", 0, 2, Signature(2, 1), 5),
-        ]
-        for kind, j, s, sig, expect in cases:
+        for kind, j, s, sig, expect in self.HIGHER_ORDER:
             basis = build_order_s_basis(kind, j, s, sig)
             assert len(basis) == expect == count(kind, sig.m, j, s)
             self._spans_match(basis, AnsatzSpec(kind, j, s, sig))
 
     def test_every_element_solves_its_system(self):
-        basis = build_order_s_basis("ordinary", 2, 2, E2)
+        basis = build_order_s_basis(*self.ELEMENTWISE)
         for el in basis.elements:
             assert killing_residual(el, 2).is_zero()
+
+    def test_generative_path_reaches_the_count(self, monkeypatch):
+        """No case above needs the solver fallback of build_order_s_basis."""
+
+        def no_fallback(spec):
+            raise RuntimeError(f"solver fallback taken for {spec}")
+
+        monkeypatch.setattr("ktk.constructors.solve_basis", no_fallback)
+        cases = self.FIRST_ORDER + [c[:4] for c in self.HIGHER_ORDER] + [self.ELEMENTWISE]
+        for kind, j, s, sig in cases:
+            assert len(build_order_s_basis(kind, j, s, sig)) == count(kind, sig.m, j, s)
 
     def test_refusals(self):
         with pytest.raises(ValueError):

@@ -16,10 +16,18 @@ from ktk import (
     count_eq_unknowns,
     killing_residual,
     prolong,
+    trace,
     traceless_project,
     x_squared,
 )
 from ktk.constructors import conformal_vectors, killing_vectors
+from ktk.solver import (
+    AnsatzSpec,
+    _conformal_rows,
+    _residual_rows,
+    field_vector,
+    unknown_labels,
+)
 
 from conftest import EUCLID, SIGS_BY_M, random_field
 
@@ -190,11 +198,67 @@ class TestProlong:
         assert back.row_labels == sys_.row_labels
         assert back.col_labels == sys_.col_labels
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            [0, 0, "1", "2"],
+            [99, 0, "1", "1"],
+            [0, 0, "1", "0"],
+            ["0", 0, "2", "1"],
+            [0, 0, "2", "1"],  # (0, 0) is already the first entry
+        ],
+        ids=["non-integral", "row-out-of-range", "zero-den", "row-not-int", "repeated"],
+    )
+    def test_json_malformed_entry_rejected(self, entry):
+        data = prolong(1, 1, 1, Signature(1, 1)).to_json()
+        data["entries"] = data["entries"] + [entry]
+        with pytest.raises(ValueError):
+            ProlongedSystem.from_json(data, 1, 1, 1, Signature(1, 1))
+
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             prolong(-1, 0, 1, E2)
         with pytest.raises(ValueError):
             prolong(1, 0, 0, E2)
+
+
+def _coefficients(F):
+    return {(idx, mono): c for idx, poly in F.components.items() for mono, c in poly.terms.items()}
+
+
+def _apply_rows(rows, vec):
+    out = {}
+    for key, row in rows.items():
+        val = sum((c * vec.get(u, 0) for u, c in row.items()), Fraction(0))
+        if val:
+            out[key] = val
+    return out
+
+
+class TestStencilConsumers:
+    """The ansatz rows and the field residuals read one stencil and one projector."""
+
+    CASES = [(j, s, sig) for sig in (Signature(2, 1), Signature(1, 3))
+             for j, s in ((1, 1), (2, 1), (1, 2), (2, 2))]
+
+    @pytest.mark.parametrize("j, s, sig", CASES, ids=str)
+    def test_rows_match_field_residuals(self, j, s, sig):
+        rng = random.Random(100 * j + 10 * s + sig.p)
+        degree = 2
+        labels = unknown_labels(j, sig.m, degree)
+        pos = {lab: n for n, lab in enumerate(labels)}
+        ordinary = _residual_rows(AnsatzSpec("ordinary", j, s, sig), pos)
+        conformal = _conformal_rows(AnsatzSpec("conformal", j, s, sig, degree), degree, pos)
+        projected = {k: r for k, r in conformal.items() if k[0] != "trace"}
+        traced = {k[1:]: r for k, r in conformal.items() if k[0] == "trace"}
+        for _ in range(3):
+            F = random_field(rng, j, sig, degree)
+            vec = field_vector(F, pos)
+            assert _apply_rows(ordinary, vec) == _coefficients(killing_residual(F, s))
+            assert _apply_rows(projected, vec) == _coefficients(
+                traceless_project(killing_residual(F, s))
+            )
+            assert _apply_rows(traced, vec) == (_coefficients(trace(F)) if j >= 2 else {})
 
 
 class TestDefiningSystem:

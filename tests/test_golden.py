@@ -1,0 +1,79 @@
+"""Golden digests: solver bases, prolonged systems and the traceless projector.
+
+Each digest is the sha256 of a canonical JSON rendering (sorted keys, no
+whitespace) of one output.  They pin the exact bytes, so a refactor of the
+residual stencil, the projector or the elimination kernel that changes any
+number, any ordering or any reduced-echelon choice fails here.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from ktk import (
+    AnsatzSpec,
+    Poly,
+    Signature,
+    SymTensorField,
+    prolong,
+    solve_basis,
+    traceless_project,
+)
+from ktk.exactalg import monomials_upto
+from ktk.tensors import enumerate_indices
+
+
+def digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fixed_rank4_field() -> SymTensorField:
+    """A dense rank-4 field of degree <= 2 on (1,3), with varied rationals."""
+    sig = Signature(1, 3)
+    comps = {}
+    for k, idx in enumerate(enumerate_indices(4, sig.m)):
+        terms = {}
+        for n, exps in enumerate(monomials_upto(sig.m, 2)):
+            num = (3 * k + 5 * n) % 7 - 3
+            if num:
+                terms[exps] = Fraction(num, 1 + (k + n) % 4)
+        comps[idx] = Poly(sig.m, terms)
+    return SymTensorField(4, sig, comps)
+
+
+BASES = {
+    ("conformal", 2, 2, 2, 1): "629d7f64139fd775b944f084bba86c2b7e50a0f4886b2d5893c3df986458b624",
+    ("ordinary", 3, 2, 1, 3): "12b1cdd12929c0bab38f80fd738275cf5a7809dad4487df4e1176fb2b001e177",
+}
+
+PROLONGED = {
+    (1, 1, 1, 2, 1): "296e0d71b65d7e4fbf8e26d11e57bb07b76d0b704fa8c2d181f41608005bcbbf",
+    (2, 2, 1, 2, 1): "30475962038b05f3164a76e0848bba40c4ea37fc54b8420b8b27fd9e1d820757",
+    (2, 1, 2, 1, 3): "5a886ddd53ef79f015c2f42800b650334f942b47af557a74bcc8978b9bec9fc7",
+    (1, 2, 2, 3, 0): "2536a5ddfa13240443574a0726f8dcffa1a39aa09c105041708a85a67a8a6b38",
+    (0, 2, 3, 2, 1): "8ea34e548cac4fe9eb0eca7c86b0f76c77ab83790e9b050a21c8d33f7a682e01",
+    (3, 1, 1, 1, 1): "571178cd1e8477820f9d20dc3cead0342f04190664347cd872ffb0a91642fa21",
+    (2, 2, 2, 2, 2): "27b357a12f9e9bf8b74cd773122c34dd53def7572f52b6fc0387ab2c2d38faef",
+}
+
+TRACELESS_RANK4 = "bca190ca417c14e47a78a94825c621bdf95c97b95b876510c46fb257c9f388cb"
+
+
+@pytest.mark.parametrize("case", sorted(BASES), ids=str)
+def test_solver_basis(case):
+    kind, j, s, p, q = case
+    basis = solve_basis(AnsatzSpec(kind, j, s, Signature(p, q)))
+    assert digest(basis.to_json()) == BASES[case]
+
+
+@pytest.mark.parametrize("case", sorted(PROLONGED), ids=str)
+def test_prolonged_system(case):
+    j, k, s, p, q = case
+    assert digest(prolong(j, k, s, Signature(p, q)).to_json()) == PROLONGED[case]
+
+
+def test_traceless_projection_rank4():
+    assert digest(traceless_project(fixed_rank4_field()).to_json()) == TRACELESS_RANK4

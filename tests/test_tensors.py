@@ -161,6 +161,7 @@ class TestContractX:
         sig = Signature(1, 1)
         F = SymTensorField(1, sig, {(2,): Poly.constant(2, 1)})
         assert contract_x(F).component(()) == Poly.variable(2, 2).scale(-1)
+        assert contract_x(F, metric=False).component(()) == Poly.variable(2, 2)
 
     def test_metric_contracts_to_coordinates(self):
         for sig in (E3, MINK, Signature(2, 2)):
@@ -242,6 +243,15 @@ class TestProjectionProperties:
         P = traceless_project(F)
         assert traceless_project(P) == P
         assert trace(P).is_zero()
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("sig", [MINK, Signature(4, 0)], ids=str)
+    def test_idempotent_high_rank(self, rank, sig):
+        rng = random.Random(10 * rank + sig.p)
+        for _ in range(3):
+            P = traceless_project(random_field(rng, rank, sig, 2))
+            assert traceless_project(P) == P
+            assert trace(P).is_zero()
 
     @given(small_fields(rank=2))
     @settings(max_examples=40, deadline=None)
