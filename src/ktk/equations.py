@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .exactalg import Poly, _json_fraction
+from .exactalg import _json_fraction
 from .tensors import (
     Signature,
     SymMultiIndex,
     SymTensorField,
+    _project_scaled,
+    _scaled,
+    _trace_scaled,
+    _unscaled,
     enumerate_indices,
-    trace,
-    traceless_project,
 )
 
 
@@ -59,31 +61,46 @@ def residual_terms(I: SymMultiIndex, mono: tuple, s: int, m: int):
             yield K, tuple(exps), factor
 
 
+def _killing_scaled(comps: dict, s: int, m: int) -> dict[SymMultiIndex, dict[tuple, int]]:
+    """The order-s residual of integer components, as integer terms by index."""
+    if s < 1:
+        raise ValueError(f"order must be >= 1, got {s}")
+    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    for idx, terms in comps.items():
+        for mono, c in terms.items():
+            for K, beta, factor in residual_terms(idx, mono, s, m):
+                acc = out.setdefault(K, {})
+                acc[beta] = acc.get(beta, 0) + c * factor
+    return out
+
+
 def killing_residual(F: SymTensorField, s: int) -> SymTensorField:
     """Symmetrized s-fold derivative of F, a rank j+s field.
 
     The component at K sums, over the stencil entries (D, K, weight), the
     weight times the D-derivative of F at the index that D extends to K.
+    The sums run on F scaled to integers by the lcm of its denominators.
     The result is zero exactly when F is a rank-j, order-s Killing tensor.
     """
-    if s < 1:
-        raise ValueError(f"order must be >= 1, got {s}")
-    sig = F.signature
-    m = sig.m
-    out: dict[SymMultiIndex, dict] = {}
-    for idx, poly in F.components.items():
-        for mono, c in poly.terms.items():
-            for K, beta, factor in residual_terms(idx, mono, s, m):
-                terms = out.setdefault(K, {})
-                terms[beta] = terms.get(beta, 0) + c * factor
-    return SymTensorField(F.rank + s, sig, {K: Poly(m, t) for K, t in out.items()})
+    scale, comps = _scaled(F)
+    return _unscaled(F.rank + s, F.signature, _killing_scaled(comps, s, F.dim), scale)
 
 
 def conformal_residual(F: SymTensorField, s: int) -> SymTensorField:
-    """Traceless part of the order-s residual; requires F itself traceless."""
-    if F.rank >= 2 and not trace(F).is_zero():
+    """Traceless part of the order-s residual; requires F itself traceless.
+
+    The trace test, the residual and the projection all run on F scaled to
+    integers; only the nonzero terms of the result become Fractions.
+    """
+    sig = F.signature
+    scale, comps = _scaled(F)
+    if F.rank >= 2 and _trace_scaled(comps, sig):
         raise ValueError("candidate field is not traceless")
-    return traceless_project(killing_residual(F, s))
+    res = _killing_scaled(comps, s, sig.m)
+    if F.rank + s >= 2:
+        den, res = _project_scaled(res, F.rank + s, sig)
+        scale *= den
+    return _unscaled(F.rank + s, sig, res, scale)
 
 
 def count_eq_unknowns(j: int, k: int, s: int, m: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import ProlongedSystem, count_eq_unknowns, prolong, residual_terms
-from .exactalg import Poly, back_substitute, clear_row, echelon, monomials_upto
+from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
 from .tensors import (
     Basis,
     Signature,
@@ -401,8 +401,32 @@ def full_rank_check(j: int, k: int, s: int, signature: Signature) -> RankReport:
 # ---------------------------------------------------------------------------
 
 
+def _unknown_vector(F: SymTensorField) -> dict:
+    """Nonzero coefficients of F keyed by unknown, in the order of `unknown_labels`."""
+    return {
+        (grlex_key(mono), idx): c
+        for idx, poly in F.components.items()
+        for mono, c in poly.terms.items()
+        if c
+    }
+
+
 def verify_basis(basis: Basis) -> list[str]:
-    """Re-check residuals and independence; returns problem descriptions."""
+    """Re-check residuals and independence; returns problem descriptions.
+
+    A bad residual is reported with its first index, the first monomial of
+    that component in graded-lex order, and the exact value there.
+
+    Independence is certified by leading unknowns.  The lead of an element
+    is its least unknown (monomial in graded-lex order, then index) with a
+    nonzero coefficient.  If the leads are pairwise distinct, the elements
+    are independent: in a combination with some nonzero coefficient, take
+    the element with the smallest lead among those.  Every other element in
+    it is zero at that lead, which is smaller than its own, so the
+    combination is nonzero there.  Only when leads collide or an element is
+    zero does the check fall back to one exact elimination, which also
+    names the first element that lies in the span of the ones before it.
+    """
     from .equations import DefiningSystem
 
     problems = []
@@ -417,16 +441,20 @@ def verify_basis(basis: Basis) -> list[str]:
             problems.append(f"element {n}: {exc}")
             continue
         if not res.is_zero():
-            bad = sorted(res.components)[0]
+            bad = min(res.components)
+            mono, value = next(res.components[bad].sorted_terms())
             problems.append(
-                f"element {n}: nonzero residual at index {bad}"
+                f"element {n}: nonzero residual at index {bad}, "
+                f"monomial {mono}, value {value}"
             )
-    degrees = [el.max_degree() for el in basis.elements]
-    bound = max([basis.degree_bound] + degrees)
-    if basis.elements:
-        vecs = fields_to_vectors(
-            basis.elements, basis.j, basis.signature.m, bound
-        )
-        if span_dim(vecs) != len(basis.elements):
-            problems.append("elements are linearly dependent")
+    vecs = [_unknown_vector(el) for el in basis.elements]
+    leads = {min(vec) for vec in vecs if vec}
+    if len(leads) != len(vecs):
+        independent = independent_subset(vecs)
+        if len(independent) != len(vecs):
+            first = min(set(range(len(vecs))).difference(independent))
+            problems.append(
+                f"elements are linearly dependent: element {first} "
+                "lies in the span of the elements before it"
+            )
     return problems

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key
@@ -205,11 +205,48 @@ def symmetrize(
     return SymTensorField(j, signature, out)
 
 
+def _scaled(F: SymTensorField) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
+    """F times the lcm of its denominators: (scale, integer terms by index)."""
+    scale = lcm(*(c.denominator for poly in F.components.values() for c in poly.terms.values()))
+    return scale, {
+        idx: {mono: c.numerator * (scale // c.denominator) for mono, c in poly.terms.items()}
+        for idx, poly in F.components.items()
+    }
+
+
+def _unscaled(
+    rank: int, sig: Signature, comps: Mapping[SymMultiIndex, Mapping[tuple, int]], scale: int
+) -> SymTensorField:
+    """The field comps / scale; only its nonzero terms become Fractions."""
+    out = {}
+    for idx, terms in comps.items():
+        poly = {mono: Fraction(c, scale) for mono, c in terms.items() if c}
+        if poly:
+            out[idx] = Poly(sig.m, poly)
+    return SymTensorField(rank, sig, out)
+
+
+def _trace_scaled(comps: Mapping, sig: Signature) -> dict[SymMultiIndex, dict[tuple, int]]:
+    """Integer trace: T[I] = sum_a g_aa F[I + (a, a)], nonzero terms only, by index."""
+    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    for K, terms in comps.items():
+        for a in set(K):
+            if K.count(a) < 2:
+                continue
+            i = K.index(a)
+            acc = out.setdefault(K[:i] + K[i + 2 :], {})
+            g = sig.g(a)
+            for mono, c in terms.items():
+                acc[mono] = acc.get(mono, 0) + g * c
+    return {idx: t for idx in sorted(out) if (t := {mo: c for mo, c in out[idx].items() if c})}
+
+
 def trace(F: SymTensorField, pair: tuple[int, int] = (0, 1)) -> SymTensorField:
     """Metric contraction over one pair of index positions (rank drops by 2).
 
     For symmetric storage the result does not depend on which positions are
-    chosen; the pair argument is validated only.
+    chosen; the pair argument is validated only.  The sums run on F scaled
+    to integers.
     """
     j = F.rank
     if j < 2:
@@ -217,17 +254,8 @@ def trace(F: SymTensorField, pair: tuple[int, int] = (0, 1)) -> SymTensorField:
     p1, p2 = pair
     if not (0 <= p1 < p2 < j):
         raise ValueError(f"invalid position pair {pair} for rank {j}")
-    sig = F.signature
-    out: dict[SymMultiIndex, Poly] = {}
-    for idx in enumerate_indices(j - 2, sig.m):
-        total = Poly.zero(sig.m)
-        for a in range(1, sig.m + 1):
-            contracted = F.components.get(tuple(sorted(idx + (a, a))))
-            if contracted is not None:
-                total = total + contracted.scale(sig.g(a))
-        if total:
-            out[idx] = total
-    return SymTensorField(j - 2, sig, out)
+    scale, comps = _scaled(F)
+    return _unscaled(j - 2, F.signature, _trace_scaled(comps, F.signature), scale)
 
 
 def metric_outer(T: SymTensorField) -> SymTensorField:
@@ -251,6 +279,8 @@ def metric_outer(T: SymTensorField) -> SymTensorField:
 
 # Traceless projector per (rank, signature): for each index, its column of P.
 _PROJECTION_CACHE: dict[tuple[int, Signature], dict] = {}
+# The same columns times the lcm of their denominators: (lcm, integer columns).
+_INTEGER_PROJECTION_CACHE: dict[tuple[int, Signature], tuple[int, dict]] = {}
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -311,25 +341,49 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     return data
 
 
+def _integer_projection(rank: int, sig: Signature) -> tuple[int, dict[SymMultiIndex, list]]:
+    """(d, columns of d * P) for the least d that makes every entry an integer."""
+    key = (rank, sig)
+    cached = _INTEGER_PROJECTION_CACHE.get(key)
+    if cached is None:
+        columns = _projection_data(rank, sig)
+        den = lcm(*(v.denominator for column in columns.values() for _, v in column))
+        cached = den, {
+            idx: [(K, v.numerator * (den // v.denominator)) for K, v in column]
+            for idx, column in columns.items()
+        }
+        _INTEGER_PROJECTION_CACHE[key] = cached
+    return cached
+
+
+def _project_scaled(
+    comps: Mapping, rank: int, sig: Signature
+) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
+    """(d, d * P applied to the integer components), by sorted index."""
+    den, columns = _integer_projection(rank, sig)
+    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    for idx, terms in comps.items():
+        for K, v in columns[idx]:
+            acc = out.setdefault(K, {})
+            for mono, c in terms.items():
+                acc[mono] = acc.get(mono, 0) + v * c
+    return den, {K: out[K] for K in sorted(out)}
+
+
 def traceless_project(F: SymTensorField) -> SymTensorField:
     """Traceless part of F: subtract a sym(g (x) T) making every trace vanish.
 
     The correction T is the unique solution of trace(F - metric_outer(T)) = 0;
     the map is the projector of `_projection_data`, which adds P[K][I] times
-    the component at I to the component at K.  Rank 0 and 1 fields are
-    returned unchanged.
+    the component at I to the component at K.  It runs on F and P each
+    scaled to integers, and divides back once per nonzero output term.  Rank
+    0 and 1 fields are returned unchanged.
     """
     if F.rank < 2:
         return F
-    sig = F.signature
-    columns = _projection_data(F.rank, sig)
-    out: dict[SymMultiIndex, dict] = {}
-    for idx, poly in F.components.items():
-        for K, v in columns[idx]:
-            terms = out.setdefault(K, {})
-            for mono, c in poly.terms.items():
-                terms[mono] = terms.get(mono, 0) + v * c
-    return SymTensorField(F.rank, sig, {K: Poly(sig.m, out[K]) for K in sorted(out)})
+    scale, comps = _scaled(F)
+    den, out = _project_scaled(comps, F.rank, F.signature)
+    return _unscaled(F.rank, F.signature, out, scale * den)
 
 
 def contract_x(F: SymTensorField, metric: bool = True) -> SymTensorField:

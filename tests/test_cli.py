@@ -143,7 +143,23 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"] is False
         assert any("residual at index (1, 1)" in p for p in report["problems"])
+        assert report["problems"] == [
+            "element 0: nonzero residual at index (1, 1), monomial (0, 0, 0), value 2"
+        ]
         assert "residual" in err
+
+    def test_dependent_element_is_named(self, capsys, tmp_path):
+        path = self._write_basis(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["elements"][4] = data["elements"][2]
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path), "--format", "json")
+        assert code == 1
+        problem = (
+            "elements are linearly dependent: element 4 lies in the span of the elements before it"
+        )
+        assert json.loads(out)["problems"] == [problem]
+        assert err == problem + "\n"
 
     def test_unreadable_file_is_config_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))

@@ -21,6 +21,8 @@ from ktk import (
     x_squared,
 )
 from ktk.constructors import conformal_vectors, killing_vectors
+from ktk.equations import residual_terms
+from ktk.tensors import _projection_data, enumerate_indices
 from ktk.solver import (
     AnsatzSpec,
     _conformal_rows,
@@ -108,6 +110,93 @@ class TestConformalResidual:
                 assert conformal_residual(F, s) == traceless_project(
                     killing_residual(F, s)
                 )
+
+
+def fraction_killing_residual(F, s):
+    """The order-s residual summed in Fraction arithmetic: the reference."""
+    m = F.signature.m
+    out = {}
+    for idx, poly in F.components.items():
+        for mono, c in poly.terms.items():
+            for K, beta, factor in residual_terms(idx, mono, s, m):
+                terms = out.setdefault(K, {})
+                terms[beta] = terms.get(beta, 0) + c * factor
+    return SymTensorField(F.rank + s, F.signature, {K: Poly(m, t) for K, t in out.items()})
+
+
+def fraction_traceless_project(F):
+    """P applied with its Fraction columns: the reference."""
+    if F.rank < 2:
+        return F
+    sig = F.signature
+    out = {}
+    for idx, poly in F.components.items():
+        for K, c in _projection_data(F.rank, sig)[idx]:
+            terms = out.setdefault(K, {})
+            for mono, v in poly.terms.items():
+                terms[mono] = terms.get(mono, 0) + c * v
+    return SymTensorField(F.rank, sig, {K: Poly(sig.m, out[K]) for K in sorted(out)})
+
+
+def fraction_trace(F):
+    """sum_a g_aa F[I + (a, a)] with Poly arithmetic: the reference."""
+    sig = F.signature
+    out = {}
+    for idx in enumerate_indices(F.rank - 2, sig.m):
+        total = Poly.zero(sig.m)
+        for a in range(1, sig.m + 1):
+            total = total + F.component(idx + (a, a)).scale(sig.g(a))
+        if total:
+            out[idx] = total
+    return SymTensorField(F.rank - 2, sig, out)
+
+
+def field_with_denominators(rng, rank, sig, degree):
+    """Random field whose coefficients have denominators 1 to 7."""
+    comps = {}
+    for idx in enumerate_indices(rank, sig.m):
+        if rng.random() < 0.7:
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * sig.m
+                for _ in range(rng.randint(0, degree)):
+                    exps[rng.randrange(sig.m)] += 1
+                terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            comps[idx] = Poly(sig.m, terms)
+    return SymTensorField(rank, sig, comps)
+
+
+class TestIntegerResidualOracle:
+    """The integer-scaled residuals equal the Fraction reference, zero or not."""
+
+    SIGS = [E3, Signature(2, 1), Signature(2, 2), Signature(1, 3)]
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_killing_residual_and_projection(self, sig):
+        rng = random.Random(sig.p * 10 + sig.q)
+        nonzero = 0
+        for rank in range(6):
+            F = field_with_denominators(rng, rank, sig, 3)
+            assert traceless_project(F) == fraction_traceless_project(F)
+            if rank >= 2:
+                assert trace(F) == fraction_trace(F)
+            for s in (1, 2, 3):
+                R = killing_residual(F, s)
+                assert R == fraction_killing_residual(F, s)
+                nonzero += not R.is_zero()
+        assert nonzero >= 12
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_conformal_residual(self, sig):
+        rng = random.Random(sig.p * 10 + sig.q + 1)
+        nonzero = 0
+        for rank in range(5):
+            T = fraction_traceless_project(field_with_denominators(rng, rank, sig, 3))
+            for s in range(1, 6 - rank):
+                R = conformal_residual(T, s)
+                assert R == fraction_traceless_project(fraction_killing_residual(T, s))
+                nonzero += not R.is_zero()
+        assert nonzero >= 8
 
 
 class TestCounting:

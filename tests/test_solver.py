@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import ktk.solver
 from ktk import (
     Signature,
+    build_order_s_basis,
     full_rank_check,
     nullspace,
     saturation_check,
@@ -154,6 +156,38 @@ def test_block_crossing_row_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", "row crosses block boundary"]
+
+
+def test_verify_basis_reports_under_optimize():
+    """Every verify_basis check is a branch, so it survives python -O."""
+    import ktk
+
+    src = str(Path(ktk.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from ktk import Poly, Signature, SymTensorField, solve_basis, verify_basis\n"
+        "from ktk.solver import AnsatzSpec\n"
+        "print(sys.flags.optimize)\n"
+        "sig = Signature(2, 0)\n"
+        "bad, zero, dup = (solve_basis(AnsatzSpec('ordinary', 1, 1, sig)) for _ in range(3))\n"
+        "bad.elements[0] += SymTensorField(1, sig, {(1,): Poly.monomial((1, 0))})\n"
+        "zero.elements[1] = SymTensorField(1, sig, {})\n"
+        "dup.elements[2] = dup.elements[0]\n"
+        "for basis in (bad, zero, dup):\n"
+        "    print(verify_basis(basis))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    dependent = "elements are linearly dependent: element {} lies in the span of the elements before it"
+    assert proc.stdout.splitlines() == [
+        "1",
+        str(["element 0: nonzero residual at index (1, 1), monomial (0, 0), value 2"]),
+        str([dependent.format(1)]),
+        str([dependent.format(2)]),
+    ]
 
 
 class TestAnsatz:
@@ -303,3 +337,71 @@ class TestVerifyBasis:
         basis.elements[1] = basis.elements[0].scale(2)
         problems = verify_basis(basis)
         assert any("dependent" in p for p in problems)
+
+    def test_residual_report_names_monomial_and_value(self):
+        from ktk import Poly, SymTensorField
+
+        basis = solve_basis(AnsatzSpec("ordinary", 1, 1, EUCLID[2]))
+        y = Poly.variable(2, 2)
+        bump = SymTensorField(1, EUCLID[2], {(2,): y**3 + (y * y).scale(Fraction(3, 7))})
+        basis.elements[1] = basis.elements[1] + bump
+        # residual (2, 2) = 2 d/dy of the bump = 6 y^2 + 12/7 y
+        assert verify_basis(basis) == [
+            "element 1: nonzero residual at index (2, 2), monomial (0, 1), value 12/7"
+        ]
+
+    def test_dependence_report_names_first_dependent_element(self):
+        basis = solve_basis(AnsatzSpec("conformal", 1, 1, Signature(1, 3)))
+        els = basis.elements
+        els[4] = els[1] + els[2].scale(3)
+        assert verify_basis(basis) == [
+            "elements are linearly dependent: element 4 lies in the span of the elements before it"
+        ]
+
+    def test_zero_element_is_dependent(self):
+        from ktk import SymTensorField
+
+        basis = solve_basis(AnsatzSpec("conformal", 2, 1, EUCLID[3]))
+        basis.elements[3] = SymTensorField(2, EUCLID[3], {})
+        assert verify_basis(basis) == [
+            "elements are linearly dependent: element 3 lies in the span of the elements before it"
+        ]
+
+    def test_wrong_rank_element_is_reported_not_raised(self):
+        from ktk import Poly, SymTensorField
+
+        basis = solve_basis(AnsatzSpec("ordinary", 1, 1, EUCLID[2]))
+        basis.elements[1] = SymTensorField(2, EUCLID[2], {(1, 2): Poly.variable(1, 2)})
+        assert verify_basis(basis) == ["element 1: rank/signature mismatch"]
+
+    def test_colliding_leads_fall_back_to_elimination(self, monkeypatch):
+        basis = solve_basis(AnsatzSpec("conformal", 1, 1, Signature(1, 3)))
+        els = basis.elements
+        # the basis is ordered by leading unknown, so c + a takes the lead of a
+        els[5] = els[5] + els[0]
+        calls = []
+        real = ktk.solver.independent_subset
+        monkeypatch.setattr(
+            "ktk.solver.independent_subset", lambda vecs: calls.append(len(vecs)) or real(vecs)
+        )
+        assert verify_basis(basis) == []
+        assert calls == [15]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: solve_basis(AnsatzSpec("conformal", 2, 1, Signature(1, 3))),
+            lambda: solve_basis(AnsatzSpec("ordinary", 3, 2, Signature(1, 3))),
+            lambda: build_order_s_basis("conformal", 1, 2, EUCLID[3]),
+        ],
+        ids=["conformal-j2-p1q3", "ordinary-j3-s2-p1q3", "generative-conformal-j1-s2-E3"],
+    )
+    def test_distinct_leads_certify_without_elimination(self, make, monkeypatch):
+        basis = make()
+
+        def no_elimination(*args):
+            raise RuntimeError("verify_basis eliminated a basis with distinct leads")
+
+        monkeypatch.setattr("ktk.solver.span_dim", no_elimination)
+        monkeypatch.setattr("ktk.solver.independent_subset", no_elimination)
+        assert verify_basis(basis) == []
