@@ -15,6 +15,7 @@ is read from these two.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -253,21 +254,38 @@ class Poly:
         ]
 
     @classmethod
-    def from_json(cls, data: list[dict], dim: int | None = None) -> "Poly":
-        if dim is None:
-            if not data:
-                raise ValueError("cannot infer dimension of a zero polynomial")
-            dim = len(data[0]["exps"])
-        terms = {tuple(t["exps"]): _json_fraction(t) for t in data}
-        return cls(dim, terms)
+    def from_json(cls, data: list[dict], dim: int) -> "Poly":
+        """Read `to_json` output in one strict pass: each monomial is `dim` ints
+        (not 1.0 or True) >= 0 given once, and zero terms are dropped; else ValueError."""
+        terms: dict[Monomial, Fraction] = {}
+        for t in data:
+            exps = tuple(t["exps"])
+            if len(exps) != dim or any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"monomial {t['exps']!r} is not {dim} nonnegative ints")
+            if exps in terms:
+                raise ValueError(f"monomial {exps} is given twice")
+            terms[exps] = _json_fraction(t)
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+        return out
 
 
 def _json_fraction(term: Mapping) -> Fraction:
-    """The rational of a JSON term's "num"/"den" strings; a zero den is a ValueError."""
-    den = int(term["den"])
-    if not den:
-        raise ValueError(f"zero denominator in term {term!r}")
-    return Fraction(int(term["num"]), den)
+    """The rational of a JSON term's "num"/"den" strings; any fault is a ValueError."""
+    num, den = term["num"], term["den"]
+    if type(num) is not str or type(den) is not str:
+        raise ValueError(f"num and den must be strings in term {term!r}")
+    return _fraction(num, den)
+
+
+@functools.cache
+def _fraction(num: str, den: str) -> Fraction:
+    """One shared (immutable) Fraction per distinct pair of JSON strings."""
+    d = int(den)
+    if not d:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(int(num), d)
 
 
 def monomials_upto(m: int, degree: int) -> list[Monomial]:

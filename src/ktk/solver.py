@@ -411,6 +411,17 @@ def _unknown_vector(F: SymTensorField) -> dict:
     }
 
 
+def _lead(F: SymTensorField):
+    """The least key of `_unknown_vector(F)`, found without building it; None if F is zero."""
+    keys = (
+        (grlex_key(mono), idx)
+        for idx, poly in F.components.items()
+        for mono, c in poly.terms.items()
+        if c
+    )
+    return min(keys, default=None)
+
+
 def verify_basis(basis: Basis) -> list[str]:
     """Re-check residuals and independence; returns problem descriptions.
 
@@ -447,9 +458,9 @@ def verify_basis(basis: Basis) -> list[str]:
                 f"element {n}: nonzero residual at index {bad}, "
                 f"monomial {mono}, value {value}"
             )
-    vecs = [_unknown_vector(el) for el in basis.elements]
-    leads = {min(vec) for vec in vecs if vec}
-    if len(leads) != len(vecs):
+    leads = {_lead(el) for el in basis.elements} - {None}
+    if len(leads) != len(basis.elements):
+        vecs = [_unknown_vector(el) for el in basis.elements]
         independent = independent_subset(vecs)
         if len(independent) != len(vecs):
             first = min(set(range(len(vecs))).difference(independent))

@@ -89,13 +89,7 @@ class SymTensorField:
         clean: dict[SymMultiIndex, Poly] = {}
         if components:
             for idx, poly in components.items():
-                idx = tuple(idx)
-                if len(idx) != rank:
-                    raise ValueError(f"index {idx} does not have rank {rank}")
-                if tuple(sorted(idx)) != idx:
-                    raise ValueError(f"index {idx} is not sorted")
-                if any(not 1 <= a <= m for a in idx):
-                    raise ValueError(f"index {idx} out of axis range 1..{m}")
+                idx = _checked_index(idx, rank, m)
                 if not isinstance(poly, Poly):
                     poly = Poly.constant(m, poly)
                 if poly.dim != m:
@@ -170,12 +164,39 @@ class SymTensorField:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymTensorField":
-        sig = Signature(*data["signature"])
-        comps = {
-            tuple(entry["index"]): Poly.from_json(entry["poly"], sig.m)
-            for entry in data["components"]
-        }
-        return cls(data["rank"], sig, comps)
+        """Read `to_json` output like `Poly.from_json`: ints for the rank and the
+        signature, each index `rank` sorted int axes in 1..m given once."""
+        rank = _json_int(data["rank"], "rank")
+        sig = Signature(*(_json_int(v, "signature entry") for v in data["signature"]))
+        m = sig.m
+        comps: dict[SymMultiIndex, Poly] = {}
+        for entry in data["components"]:
+            idx = _checked_index(entry["index"], rank, m)
+            if idx in comps:
+                raise ValueError(f"index {idx} is given twice")
+            comps[idx] = Poly.from_json(entry["poly"], m)
+        out = cls.__new__(cls)
+        out.rank = rank
+        out.signature = sig
+        out.components = {idx: poly for idx, poly in comps.items() if poly}
+        return out
+
+
+def _checked_index(idx, rank: int, m: int) -> SymMultiIndex:
+    """idx as a tuple if it is `rank` sorted int axes in 1..m, else ValueError."""
+    idx = tuple(idx)
+    if len(idx) != rank or any(type(a) is not int or not 1 <= a <= m for a in idx):
+        raise ValueError(f"index {idx} is not {rank} int axes in 1..{m}")
+    if idx != tuple(sorted(idx)):
+        raise ValueError(f"index {idx} is not sorted")
+    return idx
+
+
+def _json_int(value, name: str, least: int = 0) -> int:
+    """A JSON integer field: an int (not a bool or a float) >= least, else ValueError."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
 
 
 def symmetrize(
@@ -301,6 +322,8 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
     is `trace` on coefficient tensors; the column of index I lists the
     nonzero (K, P[K][I]).  Built once per key, and the only place P is built.
+    outer[K][T] and tr[T][K] are nonzero only for K = sort(T + (a, a)), so
+    by_k[K] lists those (T, outer[K][T], tr[T][K]); only tr . outer is dense.
     """
     key = (rank, sig)
     cached = _PROJECTION_CACHE.get(key)
@@ -309,34 +332,27 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     m = sig.m
     idx_j = enumerate_indices(rank, m)
     idx_t = enumerate_indices(rank - 2, m)
-    pos_j = {idx: n for n, idx in enumerate(idx_j)}
-    nj, nt = len(idx_j), len(idx_t)
-    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k;
-    # tr[t][k] = trace matrix on rank-j coefficient tensors
-    outer = [[Fraction(0)] * nt for _ in idx_j]
-    tr = [[Fraction(0)] * nj for _ in idx_t]
+    by_k: dict[SymMultiIndex, list[tuple[int, int, int]]] = {K: [] for K in idx_j}
     for tn, tidx in enumerate(idx_t):
         for a in range(1, m + 1):
-            kidx = tuple(sorted(tidx + (a, a)))
-            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
-            tr[tn][pos_j[kidx]] += sig.g(a)
-    composed = [
-        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
-        for r in range(nt)
-    ]
+            K = tuple(sorted(tidx + (a, a)))
+            by_k[K].append((tn, comb(K.count(a), 2) * sig.g(a), sig.g(a)))
+    composed = [[0] * len(idx_t) for _ in idx_t]
+    for entries in by_k.values():
+        for r, _, t in entries:
+            for c, w, _ in entries:
+                composed[r][c] += t * w
     inv = _invert(composed)
-    invtr = [
-        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
-        for r in range(nt)
-    ]
     data = {}
-    for i, idx in enumerate(idx_j):
+    for I in idx_j:
+        # (tr . outer)^-1 . tr applied to the unit tensor at I
+        invtr = [sum(row[tn] * t for tn, _, t in by_k[I]) for row in inv]
         column = []
-        for k, kidx in enumerate(idx_j):
-            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
+        for K in idx_j:
+            v = Fraction(K == I) - sum(w * invtr[tn] for tn, w, _ in by_k[K])
             if v:
-                column.append((kidx, v))
-        data[idx] = column
+                column.append((K, v))
+        data[I] = column
     _PROJECTION_CACHE[key] = data
     return data
 
@@ -445,14 +461,17 @@ class Basis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Basis":
+        """Read `to_json` output like `SymTensorField.from_json`; j, s, degree_bound
+        and an optional count are ints, and count equals the number of elements."""
         basis = cls(
             kind=data["kind"],
-            j=data["j"],
-            s=data["s"],
-            signature=Signature(*data["signature"]),
+            j=_json_int(data["j"], "j"),
+            s=_json_int(data["s"], "s", 1),
+            signature=Signature(*(_json_int(v, "signature entry") for v in data["signature"])),
             elements=[SymTensorField.from_json(el) for el in data["elements"]],
-            degree_bound=data["degree_bound"],
+            degree_bound=_json_int(data["degree_bound"], "degree_bound"),
         )
-        if data.get("count", len(basis.elements)) != len(basis.elements):
+        count = data.get("count", len(basis))
+        if type(count) is not int or count != len(basis):
             raise ValueError("basis count does not match element list")
         return basis

@@ -1,11 +1,20 @@
 """Command-line behavior: reports, exit statuses, artifact round-trips."""
 
+import copy
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ktk import AnsatzSpec, Signature, solve_basis
 from ktk.cli import main
 
 
@@ -165,6 +174,83 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert code == 2
 
+    @staticmethod
+    def _component(data, index):
+        """The first component entry with this index, over all elements."""
+        return next(
+            comp
+            for el in data["elements"]
+            for comp in el["components"]
+            if comp["index"] == index
+        )
+
+    @staticmethod
+    def _float_signature(data):
+        data["elements"][0]["signature"] = [1, 3.0]
+
+    @staticmethod
+    def _float_exponent(data):
+        term = data["elements"][0]["components"][0]["poly"][0]
+        term["exps"][term["exps"].index(0)] = 0.0
+
+    @staticmethod
+    def _bool_exponent(data):
+        term = data["elements"][0]["components"][0]["poly"][0]
+        term["exps"][term["exps"].index(0)] = True
+
+    @classmethod
+    def _float_index(cls, data):
+        cls._component(data, [1, 2])["index"] = [1.0, 2]
+
+    @staticmethod
+    def _repeated_term(data):
+        poly = data["elements"][0]["components"][0]["poly"]
+        poly.append(dict(poly[0]))
+
+    @staticmethod
+    def _repeated_zero_term(data):
+        poly = data["elements"][0]["components"][0]["poly"]
+        poly.append({**poly[0], "num": "0"})
+
+    @staticmethod
+    def _repeated_index(data):
+        comps = data["elements"][0]["components"]
+        comps.append(comps[0])
+
+    @staticmethod
+    def _float_j(data):
+        data["j"] = 2.0
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "_float_signature",
+            "_float_exponent",
+            "_bool_exponent",
+            "_float_index",
+            "_repeated_term",
+            "_repeated_zero_term",
+            "_repeated_index",
+            "_float_j",
+        ],
+    )
+    def test_malformed_file_exits_two(self, capsys, tmp_path, fault):
+        path = tmp_path / "b.json"
+        code, _, _ = run(
+            capsys, "basis", "--p", "1", "--q", "3", "--rank", "2", "--kind", "ordinary",
+            "--format", "json", "--output", str(path),
+        )
+        assert code == 0
+        data = json.loads(path.read_text())
+        getattr(self, fault)(data)
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
+
 
 class TestOpCheck:
     def test_ordinary_operators_pass(self, capsys, tmp_path):
@@ -267,6 +353,71 @@ class TestMalformedBasis:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert list(json.loads(lines[0])) == ["error"]
+
+
+@functools.cache
+def _small_basis_json() -> dict:
+    """Ordinary rank-2 Killing tensors on R^{1,1}: six elements with rank-2 indices."""
+    return solve_basis(AnsatzSpec("ordinary", 2, 1, Signature(1, 1))).to_json()
+
+
+def _paths(node, path=()):
+    """The key paths of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+# Replacement values: wrong types, a zero denominator ("0"), out-of-range or
+# disagreeing ints (rank, index entry, signature, count) and an unsorted index.
+_JUNK = [None, True, 1.5, -1, 0, 2, 7, "0", "x", [], {}, "conformal", [2, 1]]
+
+
+def _mutate(doc, path, op, junk):
+    """doc with one node dropped, replaced, repeated in its list, or reversed."""
+    if not path:
+        return junk if op == "replace" else doc
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "replace":
+        parent[key] = junk
+    elif op == "repeat" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif op == "reverse" and isinstance(parent[key], list):
+        parent[key].reverse()
+    return doc
+
+
+class TestVerifyFuzz:
+    """Any mutation of a valid basis file ends in exit 0, 1 or 2, never a raise."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_basis_never_raises(self, data):
+        doc = copy.deepcopy(_small_basis_json())
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            op = data.draw(st.sampled_from(["drop", "replace", "repeat", "reverse"]))
+            doc = _mutate(doc, path, op, copy.deepcopy(data.draw(st.sampled_from(_JUNK))))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "b.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["verify", path, "--format", "json"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert list(json.loads(err.getvalue())) == ["error"]
 
 
 class TestProlongRank:

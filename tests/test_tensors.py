@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktk import (
+    AnsatzSpec,
     Basis,
     Poly,
     Signature,
@@ -15,12 +17,13 @@ from ktk import (
     contract_x,
     enumerate_indices,
     metric_outer,
+    solve_basis,
     symmetrize,
     trace,
     traceless_project,
     x_squared,
 )
-from ktk.tensors import _invert, index_content
+from ktk.tensors import _invert, _projection_data, index_content
 
 from conftest import SIGS_BY_M, random_field
 
@@ -218,6 +221,108 @@ class TestSerialization:
         data["count"] = 7
         with pytest.raises(ValueError):
             Basis.from_json(data)
+
+
+def reference_basis_from_json(data: dict) -> Basis:
+    """The former reader: a Fraction per term, then the checking constructors."""
+
+    def poly(terms, m):
+        return Poly(m, {tuple(t["exps"]): Fraction(int(t["num"]), int(t["den"])) for t in terms})
+
+    def field(el):
+        sig = Signature(*el["signature"])
+        comps = {tuple(c["index"]): poly(c["poly"], sig.m) for c in el["components"]}
+        return SymTensorField(el["rank"], sig, comps)
+
+    return Basis(
+        data["kind"],
+        data["j"],
+        data["s"],
+        Signature(*data["signature"]),
+        [field(el) for el in data["elements"]],
+        data["degree_bound"],
+    )
+
+
+class TestReaderOracle:
+    """The strict one-pass reader reads what the former reader read."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [("conformal", 2, 2, 2, 1), ("ordinary", 3, 2, 1, 3), ("conformal", 2, 1, 1, 3)],
+        ids=str,
+    )
+    def test_round_trip_equals_former_reader(self, case):
+        kind, j, s, p, q = case
+        basis = solve_basis(AnsatzSpec(kind, j, s, Signature(p, q)))
+        data = basis.to_json()
+        read = Basis.from_json(data)
+        assert read == basis
+        assert read == reference_basis_from_json(data)
+        assert read.to_json() == data
+        assert all(
+            type(c) is Fraction
+            for el in read.elements
+            for poly in el.components.values()
+            for c in poly.terms.values()
+        )
+
+
+def dense_projection_data(rank: int, sig: Signature) -> dict:
+    """The former projector build: dense Fraction triple sums, kept as the reference."""
+    m = sig.m
+    idx_j = enumerate_indices(rank, m)
+    idx_t = enumerate_indices(rank - 2, m)
+    pos_j = {idx: n for n, idx in enumerate(idx_j)}
+    nj, nt = len(idx_j), len(idx_t)
+    outer = [[Fraction(0)] * nt for _ in idx_j]
+    tr = [[Fraction(0)] * nj for _ in idx_t]
+    for tn, tidx in enumerate(idx_t):
+        for a in range(1, m + 1):
+            kidx = tuple(sorted(tidx + (a, a)))
+            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
+            tr[tn][pos_j[kidx]] += sig.g(a)
+    composed = [
+        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
+        for r in range(nt)
+    ]
+    inv = _invert(composed)
+    invtr = [
+        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
+        for r in range(nt)
+    ]
+    data = {}
+    for i, idx in enumerate(idx_j):
+        column = []
+        for k, kidx in enumerate(idx_j):
+            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
+            if v:
+                column.append((kidx, v))
+        data[idx] = column
+    return data
+
+
+def assert_same_projector(rank: int, sig: Signature) -> None:
+    got = _projection_data(rank, sig)
+    want = dense_projection_data(rank, sig)
+    assert got == want
+    assert list(got) == list(want)
+    assert all(type(v) is Fraction for column in got.values() for _, v in column)
+
+
+class TestProjectorOracle:
+    """The sparse projector equals the dense reference: keys, column order, values."""
+
+    SIGS = [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2), (1, 3)]
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("pq", SIGS, ids=str)
+    def test_sparse_equals_dense(self, rank, pq):
+        assert_same_projector(rank, Signature(*pq))
+
+    @pytest.mark.long
+    def test_rank6_spacetime(self):
+        assert_same_projector(6, MINK)
 
 
 @st.composite
