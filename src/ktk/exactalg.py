@@ -15,8 +15,8 @@ is read from these two.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping
@@ -254,9 +254,10 @@ class Poly:
         ]
 
     @classmethod
-    def from_json(cls, data: list[dict], dim: int) -> "Poly":
+    def from_json(cls, data: list[dict], dim: int, seen: dict | None = None) -> "Poly":
         """Read `to_json` output in one strict pass: each monomial is `dim` ints
-        (not 1.0 or True) >= 0 given once, and zero terms are dropped; else ValueError."""
+        (not 1.0 or True) >= 0 given once, and zero terms are dropped; else ValueError.
+        `seen` is passed on to `_json_fraction`."""
         terms: dict[Monomial, Fraction] = {}
         for t in data:
             exps = tuple(t["exps"])
@@ -264,28 +265,35 @@ class Poly:
                 raise ValueError(f"monomial {t['exps']!r} is not {dim} nonnegative ints")
             if exps in terms:
                 raise ValueError(f"monomial {exps} is given twice")
-            terms[exps] = _json_fraction(t)
+            terms[exps] = _json_fraction(t, seen)
         out = cls.__new__(cls)
         out.dim = dim
         out.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
         return out
 
 
-def _json_fraction(term: Mapping) -> Fraction:
-    """The rational of a JSON term's "num"/"den" strings; any fault is a ValueError."""
+_NUM = re.compile(r"-?[0-9]+")
+_DEN = re.compile(r"0*[1-9][0-9]*")
+
+
+def _json_fraction(term: Mapping, seen: dict | None = None) -> Fraction:
+    """The rational of a JSON term's "num" and "den": strings of ASCII digits,
+    num with an optional "-" and den nonzero; any fault is a ValueError.
+
+    `seen` maps the (num, den) pairs already read by one reader call to their
+    Fraction, which is immutable and so is shared.  The type check comes
+    before the lookup, so 1, 1.0 and True never share an entry."""
     num, den = term["num"], term["den"]
     if type(num) is not str or type(den) is not str:
         raise ValueError(f"num and den must be strings in term {term!r}")
-    return _fraction(num, den)
-
-
-@functools.cache
-def _fraction(num: str, den: str) -> Fraction:
-    """One shared (immutable) Fraction per distinct pair of JSON strings."""
-    d = int(den)
-    if not d:
-        raise ValueError(f"zero denominator in {num}/{den}")
-    return Fraction(int(num), d)
+    if seen is None:
+        seen = {}
+    value = seen.get((num, den))
+    if value is None:
+        if not (_NUM.fullmatch(num) and _DEN.fullmatch(den)):
+            raise ValueError(f"{num!r}/{den!r} is not an integer over a positive integer")
+        value = seen[num, den] = Fraction(int(num), int(den))
+    return value
 
 
 def monomials_upto(m: int, degree: int) -> list[Monomial]:

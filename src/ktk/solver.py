@@ -401,25 +401,15 @@ def full_rank_check(j: int, k: int, s: int, signature: Signature) -> RankReport:
 # ---------------------------------------------------------------------------
 
 
-def _unknown_vector(F: SymTensorField) -> dict:
-    """Nonzero coefficients of F keyed by unknown, in the order of `unknown_labels`."""
-    return {
-        (grlex_key(mono), idx): c
-        for idx, poly in F.components.items()
-        for mono, c in poly.terms.items()
-        if c
-    }
-
-
-def _lead(F: SymTensorField):
-    """The least key of `_unknown_vector(F)`, found without building it; None if F is zero."""
-    keys = (
-        (grlex_key(mono), idx)
+def _unknown_items(F: SymTensorField):
+    """(unknown, coefficient) for each nonzero coefficient of F, keyed as in
+    `unknown_labels`; its `dict` is F's vector."""
+    return (
+        ((grlex_key(mono), idx), c)
         for idx, poly in F.components.items()
         for mono, c in poly.terms.items()
         if c
     )
-    return min(keys, default=None)
 
 
 def verify_basis(basis: Basis) -> list[str]:
@@ -458,9 +448,11 @@ def verify_basis(basis: Basis) -> list[str]:
                 f"element {n}: nonzero residual at index {bad}, "
                 f"monomial {mono}, value {value}"
             )
-    leads = {_lead(el) for el in basis.elements} - {None}
+    leads = {
+        min((u for u, _ in _unknown_items(el)), default=None) for el in basis.elements
+    } - {None}
     if len(leads) != len(basis.elements):
-        vecs = [_unknown_vector(el) for el in basis.elements]
+        vecs = [dict(_unknown_items(el)) for el in basis.elements]
         independent = independent_subset(vecs)
         if len(independent) != len(vecs):
             first = min(set(range(len(vecs))).difference(independent))

@@ -163,9 +163,10 @@ class SymTensorField:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SymTensorField":
-        """Read `to_json` output like `Poly.from_json`: ints for the rank and the
-        signature, each index `rank` sorted int axes in 1..m given once."""
+    def from_json(cls, data: dict, seen: dict | None = None) -> "SymTensorField":
+        """Read `to_json` output like `Poly.from_json` (`seen` is passed on): ints
+        for the rank and the signature, each index `rank` sorted int axes in 1..m
+        given once."""
         rank = _json_int(data["rank"], "rank")
         sig = Signature(*(_json_int(v, "signature entry") for v in data["signature"]))
         m = sig.m
@@ -174,7 +175,8 @@ class SymTensorField:
             idx = _checked_index(entry["index"], rank, m)
             if idx in comps:
                 raise ValueError(f"index {idx} is given twice")
-            comps[idx] = Poly.from_json(entry["poly"], m)
+            comps[idx] = Poly.from_json(entry["poly"], m, seen)
+        # every check of __init__ is made above, so its second pass is skipped
         out = cls.__new__(cls)
         out.rank = rank
         out.signature = sig
@@ -462,13 +464,15 @@ class Basis:
     @classmethod
     def from_json(cls, data: dict) -> "Basis":
         """Read `to_json` output like `SymTensorField.from_json`; j, s, degree_bound
-        and an optional count are ints, and count equals the number of elements."""
+        and an optional count are ints, and count equals the number of elements.
+        Each distinct (num, den) pair of the file is read to one Fraction."""
+        seen: dict = {}
         basis = cls(
             kind=data["kind"],
             j=_json_int(data["j"], "j"),
             s=_json_int(data["s"], "s", 1),
             signature=Signature(*(_json_int(v, "signature entry") for v in data["signature"])),
-            elements=[SymTensorField.from_json(el) for el in data["elements"]],
+            elements=[SymTensorField.from_json(el, seen) for el in data["elements"]],
             degree_bound=_json_int(data["degree_bound"], "degree_bound"),
         )
         count = data.get("count", len(basis))

@@ -235,6 +235,31 @@ class TestVerify:
         ],
     )
     def test_malformed_file_exits_two(self, capsys, tmp_path, fault):
+        self._assert_exits_two(capsys, tmp_path, getattr(self, fault))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num", " 1 "),
+            ("num", "1_0"),
+            ("num", "+1"),
+            ("num", "\u0661"),
+            ("num", "1.5"),
+            ("num", ""),
+            ("den", "-2"),
+            ("den", "0"),
+            ("den", "00"),
+            ("den", "\u0662"),
+        ],
+    )
+    def test_non_integer_string_exits_two(self, capsys, tmp_path, key, value):
+        def mutate(data):
+            data["elements"][0]["components"][0]["poly"][0][key] = value
+
+        self._assert_exits_two(capsys, tmp_path, mutate)
+
+    @staticmethod
+    def _assert_exits_two(capsys, tmp_path, mutate):
         path = tmp_path / "b.json"
         code, _, _ = run(
             capsys, "basis", "--p", "1", "--q", "3", "--rank", "2", "--kind", "ordinary",
@@ -242,7 +267,7 @@ class TestVerify:
         )
         assert code == 0
         data = json.loads(path.read_text())
-        getattr(self, fault)(data)
+        mutate(data)
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", str(path), "--format", "json")
         assert code == 2
