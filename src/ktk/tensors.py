@@ -324,8 +324,6 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
     is `trace` on coefficient tensors; the column of index I lists the
     nonzero (K, P[K][I]).  Built once per key, and the only place P is built.
-    outer[K][T] and tr[T][K] are nonzero only for K = sort(T + (a, a)), so
-    by_k[K] lists those (T, outer[K][T], tr[T][K]); only tr . outer is dense.
     """
     key = (rank, sig)
     cached = _PROJECTION_CACHE.get(key)
@@ -334,27 +332,34 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     m = sig.m
     idx_j = enumerate_indices(rank, m)
     idx_t = enumerate_indices(rank - 2, m)
-    by_k: dict[SymMultiIndex, list[tuple[int, int, int]]] = {K: [] for K in idx_j}
+    pos_j = {idx: n for n, idx in enumerate(idx_j)}
+    nj, nt = len(idx_j), len(idx_t)
+    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k;
+    # tr[t][k] = trace matrix on rank-j coefficient tensors
+    outer = [[Fraction(0)] * nt for _ in idx_j]
+    tr = [[Fraction(0)] * nj for _ in idx_t]
     for tn, tidx in enumerate(idx_t):
         for a in range(1, m + 1):
-            K = tuple(sorted(tidx + (a, a)))
-            by_k[K].append((tn, comb(K.count(a), 2) * sig.g(a), sig.g(a)))
-    composed = [[0] * len(idx_t) for _ in idx_t]
-    for entries in by_k.values():
-        for r, _, t in entries:
-            for c, w, _ in entries:
-                composed[r][c] += t * w
+            kidx = tuple(sorted(tidx + (a, a)))
+            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
+            tr[tn][pos_j[kidx]] += sig.g(a)
+    composed = [
+        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
+        for r in range(nt)
+    ]
     inv = _invert(composed)
+    invtr = [
+        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
+        for r in range(nt)
+    ]
     data = {}
-    for I in idx_j:
-        # (tr . outer)^-1 . tr applied to the unit tensor at I
-        invtr = [sum(row[tn] * t for tn, _, t in by_k[I]) for row in inv]
+    for i, idx in enumerate(idx_j):
         column = []
-        for K in idx_j:
-            v = Fraction(K == I) - sum(w * invtr[tn] for tn, w, _ in by_k[K])
+        for k, kidx in enumerate(idx_j):
+            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
             if v:
-                column.append((K, v))
-        data[I] = column
+                column.append((kidx, v))
+        data[idx] = column
     _PROJECTION_CACHE[key] = data
     return data
 

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from ktk import (
     traceless_project,
     x_squared,
 )
-from ktk.tensors import _invert, _projection_data, index_content
+from ktk.tensors import _invert, index_content
 
 from conftest import SIGS_BY_M, random_field
 
@@ -266,63 +265,6 @@ class TestReaderOracle:
             for poly in el.components.values()
             for c in poly.terms.values()
         )
-
-
-def dense_projection_data(rank: int, sig: Signature) -> dict:
-    """The former projector build: dense Fraction triple sums, kept as the reference."""
-    m = sig.m
-    idx_j = enumerate_indices(rank, m)
-    idx_t = enumerate_indices(rank - 2, m)
-    pos_j = {idx: n for n, idx in enumerate(idx_j)}
-    nj, nt = len(idx_j), len(idx_t)
-    outer = [[Fraction(0)] * nt for _ in idx_j]
-    tr = [[Fraction(0)] * nj for _ in idx_t]
-    for tn, tidx in enumerate(idx_t):
-        for a in range(1, m + 1):
-            kidx = tuple(sorted(tidx + (a, a)))
-            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
-            tr[tn][pos_j[kidx]] += sig.g(a)
-    composed = [
-        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
-        for r in range(nt)
-    ]
-    inv = _invert(composed)
-    invtr = [
-        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
-        for r in range(nt)
-    ]
-    data = {}
-    for i, idx in enumerate(idx_j):
-        column = []
-        for k, kidx in enumerate(idx_j):
-            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
-            if v:
-                column.append((kidx, v))
-        data[idx] = column
-    return data
-
-
-def assert_same_projector(rank: int, sig: Signature) -> None:
-    got = _projection_data(rank, sig)
-    want = dense_projection_data(rank, sig)
-    assert got == want
-    assert list(got) == list(want)
-    assert all(type(v) is Fraction for column in got.values() for _, v in column)
-
-
-class TestProjectorOracle:
-    """The sparse projector equals the dense reference: keys, column order, values."""
-
-    SIGS = [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2), (1, 3)]
-
-    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
-    @pytest.mark.parametrize("pq", SIGS, ids=str)
-    def test_sparse_equals_dense(self, rank, pq):
-        assert_same_projector(rank, Signature(*pq))
-
-    @pytest.mark.long
-    def test_rank6_spacetime(self):
-        assert_same_projector(6, MINK)
 
 
 @st.composite
