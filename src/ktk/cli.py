@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .constructors import KINDS, count
-from .equations import count_eq_unknowns
 from .operators import (
     build_symmetry_operator,
     check_symmetry,
@@ -238,10 +237,9 @@ def _run_prolong_rank(args) -> int:
         raise ConfigError("need rank >= 0, k >= 0, order >= 1")
     report = full_rank_check(args.rank, args.k, args.order, sig)
     payload = report.to_json()
-    n_e, n_u = count_eq_unknowns(args.rank, args.k, args.order, sig.m)
     text = (
         f"prolonged system j={args.rank} k={args.k} s={args.order} "
-        f"signature=({sig.p},{sig.q}): {n_e} equations, {n_u} unknowns, "
+        f"signature=({sig.p},{sig.q}): {report.n_e} equations, {report.n_u} unknowns, "
         f"rank {report.rank} ({'full' if report.full_row_rank else 'NOT full'} row rank)\n"
     )
     _emit(args, payload, text)

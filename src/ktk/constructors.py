@@ -1,10 +1,11 @@
 """Closed-form counts, seed vector bases, and generative constructions.
 
-Counting formulas give the exact dimension of each solution family; the
-vector bases and the five product/scaling/contraction constructions below
-generate higher-rank and higher-order families from them.  Stored components
-follow the package convention: they satisfy the plain-derivative defining
-systems, so metric signs appear explicitly inside the seed formulas.
+Counting formulas give the exact dimension of each solution family.  The
+five product/scaling/contraction lemmas below act on single solutions;
+`build_order_s_basis` spans a whole family by products of the vector bases
+times polynomial multipliers.  Stored components follow the package
+convention: they satisfy the plain-derivative defining systems, so metric
+signs appear explicitly inside the seed formulas.
 """
 
 from __future__ import annotations
@@ -178,24 +179,16 @@ def lemma2_product(F: SymTensorField, V: SymTensorField) -> SymTensorField:
     return traceless_project(_sym_vector_product(F, V))
 
 
-def _is_affine(phi: Poly) -> bool:
-    return phi.degree() <= 1
-
-
 def lemma3_scale(F: SymTensorField, phi: Poly, order: int) -> SymTensorField:
     """Scale an order-s solution by an affine function: an order-(s+1) one.
 
     The order is preserved (rather than raised) only when phi is constant.
     """
-    if not _is_affine(phi):
+    if phi.degree() > 1:
         raise ValueError("phi must be affine")
     if not killing_residual(F, order).is_zero():
         raise ValueError(f"field does not satisfy the order-{order} system")
-    return SymTensorField(
-        F.rank,
-        F.signature,
-        {idx: p * phi for idx, p in F.components.items()},
-    )
+    return F.scale(phi)
 
 
 def lemma4_contract(F: SymTensorField, order: int) -> SymTensorField:
@@ -235,11 +228,7 @@ def lemma5_scale(F: SymTensorField, phi: Poly, order: int) -> SymTensorField:
         raise ValueError("phi must have metric-proportional Hessian")
     if not conformal_residual(F, order).is_zero():
         raise ValueError(f"field does not satisfy the traceless order-{order} system")
-    return SymTensorField(
-        F.rank,
-        F.signature,
-        {idx: p * phi for idx, p in F.components.items()},
-    )
+    return F.scale(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -267,90 +256,51 @@ def _canonical_basis(
     return Basis(kind, j, s, signature, elements, degree_bound=degree_bound)
 
 
-def _ordinary_family(j: int, s: int, signature: Signature) -> list[SymTensorField]:
-    m = signature.m
-    if j == 0 and s == 1:
-        return [SymTensorField(0, signature, {(): Poly.constant(m, 1)})]
-    if s == 1:
-        vectors = killing_vectors(signature).elements
-        fields = []
-        for combo in itertools.combinations_with_replacement(range(len(vectors)), j):
-            F = vectors[combo[0]]
-            for i in combo[1:]:
-                F = _sym_vector_product(F, vectors[i])
-            fields.append(F)
-        return fields
-    prev = _ordinary_family(j, s - 1, signature)
-    fields = list(prev)
-    for F in prev:
-        for a in range(1, m + 1):
-            phi = Poly.variable(a, m)
-            fields.append(
-                SymTensorField(j, signature, {i: p * phi for i, p in F.components.items()})
-            )
-    for G in _ordinary_family(j + 1, s - 1, signature):
-        fields.append(contract_x(G, metric=False))
-    # free solutions: every monomial field of degree < s
-    for I in enumerate_indices(j, m):
-        for exps in monomials_upto(m, s - 1):
-            fields.append(SymTensorField(j, signature, {I: Poly.monomial(exps)}))
-    return fields
+def _family(kind: str, j: int, s: int, signature: Signature) -> list[SymTensorField]:
+    """Order-1 products times multipliers: a spanning set of the order-s family.
 
-
-def _conformal_family(j: int, s: int, signature: Signature) -> list[SymTensorField]:
+    Seeds are the rank-j products of (conformal) Killing vectors, projected
+    traceless after each factor for the conformal kind; the empty product is
+    the scalar 1.  Each seed is multiplied by every x^delta, and for the
+    conformal kind every x^delta (x^2)^c, with |delta| + c <= s - 1: each
+    affine factor (lemma 3) or x^2 (lemma 5) raises the order by one.  The
+    monomial fields e_I x^delta (for the conformal kind their traceless
+    parts) need no loop of their own: e_I is a product of translations, and
+    the traceless projection commutes with scalar factors.
+    """
     m = signature.m
-    if j == 0 and s == 1:
-        return [SymTensorField(0, signature, {(): Poly.constant(m, 1)})]
-    if s == 1:
-        vectors = conformal_vectors(signature).elements
-        fields = []
-        for combo in itertools.combinations_with_replacement(range(len(vectors)), j):
-            F = vectors[combo[0]]
-            for i in combo[1:]:
-                F = traceless_project(_sym_vector_product(F, vectors[i]))
-            fields.append(F)
-        return fields
-    prev = _conformal_family(j, s - 1, signature)
-    fields = list(prev)
-    scalers = [Poly.variable(a, m) for a in range(1, m + 1)] + [x_squared(signature)]
-    for F in prev:
-        for phi in scalers:
-            fields.append(
-                SymTensorField(j, signature, {i: p * phi for i, p in F.components.items()})
-            )
-    # traceless free solutions of degree < s
-    for I in enumerate_indices(j, m):
-        for exps in monomials_upto(m, s - 1):
-            cand = traceless_project(SymTensorField(j, signature, {I: Poly.monomial(exps)}))
-            if not cand.is_zero():
-                fields.append(cand)
-    return fields
+    conformal = kind == "conformal"
+    vectors = (conformal_vectors if conformal else killing_vectors)(signature).elements
+    seeds = []
+    for combo in itertools.combinations_with_replacement(vectors, j):
+        F = SymTensorField(0, signature, {(): Poly.constant(m, 1)})
+        for V in combo:
+            F = _sym_vector_product(F, V)
+            if conformal:
+                F = traceless_project(F)
+        seeds.append(F)
+    xsq = x_squared(signature)
+    multipliers = [
+        Poly.monomial(exps) * xsq**c
+        for c in range(s if conformal else 1)
+        for exps in monomials_upto(m, s - 1 - c)
+    ]
+    return [F.scale(phi) for phi in multipliers for F in seeds]
 
 
 def build_order_s_basis(kind: str, j: int, s: int, signature: Signature) -> Basis:
     """Complete basis from the generative constructions, solver-checked.
 
-    Candidates come from vector products (order 1), coordinate/quadratic
-    scalings and contractions of lower-order bases, and low-degree free
-    solutions; the independent span is echelon-normalized.  If its dimension
-    misses the counting formula the solver result is returned instead.
+    The candidates of `_family` are echelon-normalized at the ansatz degree
+    bound.  If the dimension of their span misses the counting formula the
+    solver result is returned instead.
     """
-    m = signature.m
-    if kind not in ("ordinary", "conformal"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if m > 4:
+    spec = AnsatzSpec(kind, j, s, signature)
+    if signature.m > 4:
         raise ValueError("counting formulas cover m <= 4 only")
-    if j < 0 or s < 1:
-        raise ValueError(f"invalid (j={j}, s={s})")
-    if kind == "conformal" and m <= 2:
-        raise ValueError("the conformal family is infinite for m <= 2")
-    if kind == "ordinary":
-        degree_bound = j + s - 1
-        fields = _ordinary_family(j, s, signature)
-    else:
-        degree_bound = 2 * (j + s - 1)
-        fields = _conformal_family(j, s, signature)
+    degree_bound = spec.resolved_degree()
+    fields = _family(kind, j, s, signature)
     basis = _canonical_basis(kind, j, s, signature, fields, degree_bound)
-    if len(basis) != count(kind, m, j, s):
-        return solve_basis(AnsatzSpec(kind, j, s, signature))
+    if len(basis) != count(kind, signature.m, j, s):
+        return solve_basis(spec)
     return basis

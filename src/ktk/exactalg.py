@@ -260,9 +260,7 @@ class Poly:
         `seen` is passed on to `_json_fraction`."""
         terms: dict[Monomial, Fraction] = {}
         for t in data:
-            exps = tuple(t["exps"])
-            if len(exps) != dim or any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError(f"monomial {t['exps']!r} is not {dim} nonnegative ints")
+            exps = _json_monomial(t["exps"], dim)
             if exps in terms:
                 raise ValueError(f"monomial {exps} is given twice")
             terms[exps] = _json_fraction(t, seen)
@@ -270,6 +268,15 @@ class Poly:
         out.dim = dim
         out.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
         return out
+
+
+def _json_monomial(exps, dim: int) -> Monomial:
+    """A JSON exponent list as a monomial: `dim` ints (not 1.0 or True) >= 0,
+    else ValueError."""
+    mono = tuple(exps)
+    if len(mono) != dim or any(type(e) is not int or e < 0 for e in mono):
+        raise ValueError(f"monomial {exps!r} is not {dim} nonnegative ints")
+    return mono
 
 
 _NUM = re.compile(r"-?[0-9]+")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exactalg import Poly, _as_fraction, _json_fraction, grlex_key, monomials_upto
-from .solver import independent_subset
+from .exactalg import Poly, _as_fraction, _json_fraction, _json_monomial, grlex_key, monomials_upto
+from .solver import independent_subset, span_dim
 from .tensors import Signature, SymTensorField, _invert
 
 
@@ -166,15 +166,15 @@ class WeylOp:
         return out
 
     @classmethod
-    def from_json(cls, data: list, dim: int | None = None) -> "WeylOp":
+    def from_json(cls, data: list, dim: int) -> "WeylOp":
+        """Read `to_json` output as strictly as `Poly.from_json`: each
+        (x_exps, d_exps) pair is given once; else ValueError."""
         terms = {}
         for entry in data:
-            key = (tuple(entry["x_exps"]), tuple(entry["d_exps"]))
-            if dim is None:
-                dim = len(key[0])
+            key = (_json_monomial(entry["x_exps"], dim), _json_monomial(entry["d_exps"], dim))
+            if key in terms:
+                raise ValueError(f"term {key} is given twice")
             terms[key] = _json_fraction(entry)
-        if dim is None:
-            raise ValueError("cannot infer dimension from an empty term list")
         return cls(dim, terms)
 
 
@@ -436,15 +436,8 @@ def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
 
 
 def lie_closure_check(generators: list[WeylOp]) -> bool:
-    """True iff all pairwise commutators stay in the rational span."""
-    from .solver import in_rational_span
-
-    vecs = [dict(g.terms) for g in generators]
-    for i in range(len(generators)):
-        for k in range(i + 1, len(generators)):
-            com = commutator(generators[i], generators[k])
-            if com.is_zero():
-                continue
-            if in_rational_span(vecs, dict(com.terms)) is None:
-                return False
-    return True
+    """True iff all pairwise commutators stay in the rational span, that is
+    iff adding them leaves the dimension of the span unchanged."""
+    vecs = [g.terms for g in generators]
+    brackets = [commutator(A, B).terms for A, B in itertools.combinations(generators, 2)]
+    return span_dim(vecs + brackets) == span_dim(vecs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import ProlongedSystem, count_eq_unknowns, prolong, residual_terms
+from .equations import DefiningSystem, ProlongedSystem, prolong, residual_terms
 from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
 from .tensors import (
     Basis,
@@ -382,17 +382,16 @@ def system_rank(system: ProlongedSystem) -> int:
 def full_rank_check(j: int, k: int, s: int, signature: Signature) -> RankReport:
     """Rank of the (j, k, s) prolonged system; full row rank means no slack."""
     system = prolong(j, k, s, signature)
-    n_e, n_u = count_eq_unknowns(j, k, s, signature.m)
     rank = system_rank(system)
     return RankReport(
         j=j,
         k=k,
         s=s,
         signature=signature,
-        n_e=n_e,
-        n_u=n_u,
+        n_e=system.n_rows,
+        n_u=system.n_cols,
         rank=rank,
-        full_row_rank=rank == n_e,
+        full_row_rank=rank == system.n_rows,
     )
 
 
@@ -428,8 +427,6 @@ def verify_basis(basis: Basis) -> list[str]:
     zero does the check fall back to one exact elimination, which also
     names the first element that lies in the span of the ones before it.
     """
-    from .equations import DefiningSystem
-
     problems = []
     system = DefiningSystem(basis.kind, basis.j, basis.s, basis.signature)
     for n, el in enumerate(basis.elements):

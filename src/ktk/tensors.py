@@ -41,9 +41,6 @@ class Signature:
             raise ValueError(f"axis {axis} out of range 1..{self.m}")
         return 1 if axis <= self.p else -1
 
-    def metric_diag(self) -> tuple[int, ...]:
-        return tuple(self.g(a) for a in range(1, self.m + 1))
-
 
 def enumerate_indices(j: int, m: int) -> list[SymMultiIndex]:
     """All sorted rank-j multi-indices over axes 1..m, lexicographically."""
@@ -125,10 +122,11 @@ class SymTensorField:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymTensorField":
+        """Every component times c, a number or a Poly."""
         return SymTensorField(
             self.rank,
             self.signature,
-            {idx: poly.scale(c) for idx, poly in self.components.items()},
+            {idx: poly * c for idx, poly in self.components.items()},
         )
 
     def __eq__(self, other) -> bool:

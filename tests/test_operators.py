@@ -90,6 +90,23 @@ class TestComposition:
         Q = D(1) * D(1) + X(2) * D(2) + WeylOp.constant(2, Fraction(-1, 3))
         assert WeylOp.from_json(Q.to_json(), dim=2) == Q
 
+    @pytest.mark.parametrize(
+        "x_exps, d_exps", [([1.0, 0], [0, 0]), ([True, 0], [0, 0]), ([0, 0], [-1, 0])]
+    )
+    def test_json_rejects_non_natural_exponents(self, x_exps, d_exps):
+        data = [{"x_exps": x_exps, "d_exps": d_exps, "num": "1", "den": "1"}]
+        with pytest.raises(ValueError):
+            WeylOp.from_json(data, dim=2)
+
+    def test_json_rejects_repeated_term(self):
+        data = (D(1) + X(2).scale(5)).to_json()
+        with pytest.raises(ValueError):
+            WeylOp.from_json(data + data[:1], dim=2)
+
+    def test_json_needs_dim(self):
+        with pytest.raises(TypeError):
+            WeylOp.from_json(D(1).to_json())
+
 
 def _random_op(rng, dim, max_order=2):
     out = WeylOp.zero(dim)
