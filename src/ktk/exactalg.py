@@ -2,9 +2,10 @@
 
 Coefficients are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator), monomials are dense exponent tuples of length m, and
-polynomials are sparse term maps that never store a zero coefficient.  The
-canonical term order used everywhere (iteration, JSON output) is graded
-lexicographic: first by total degree, then by exponent tuple.
+polynomials are `Terms`, the sparse term maps that `operators.WeylOp` shares,
+which never store a zero coefficient.  The canonical term order used
+everywhere (iteration, JSON output) is graded lexicographic: first by total
+degree, then by exponent tuple.
 
 This bottom layer also holds the package's only exact linear algebra:
 `echelon` (one fraction-free forward pass) and `back_substitute` (one
@@ -40,7 +41,113 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
-class Poly:
+class Terms:
+    """A sparse map `terms` from exponent keys to nonzero Fractions, in `dim`
+    variables: the core that `Poly` and `operators.WeylOp` share.
+
+    A key is one exponent tuple here; a subclass with another key shape
+    overrides `_key`.  Sums, negation, scaling and equality need only like
+    keys and one dimension, so they live here; products are the subclass's.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: Mapping | None = None):
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        self.dim = dim
+        clean: dict = {}
+        if terms:
+            for key, c in terms.items():
+                key = self._key(key)
+                c = _as_fraction(c)
+                if c:
+                    clean[key] = clean.get(key, Fraction(0)) + c
+                    if not clean[key]:
+                        del clean[key]
+        self.terms = clean
+
+    def _key(self, exps) -> Monomial:
+        """`exps` as a tuple of `dim` exponents >= 0, else ValueError."""
+        exps = tuple(exps)
+        if len(exps) != self.dim:
+            raise ValueError(f"exponents {exps} do not have dimension {self.dim}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
+
+    @classmethod
+    def _new(cls, dim: int, terms: dict):
+        """An instance that takes `terms` as is: valid keys, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = terms
+        return out
+
+    @classmethod
+    def _read_json(cls, data: list, dim: int, key_of, seen: dict | None = None):
+        """Read a JSON term list in one strict pass: `key_of(term)` parses a
+        term's key, given at most once, and `_json_fraction` (passed `seen`)
+        its value; zero terms are dropped.  Any fault is a ValueError."""
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        terms: dict = {}
+        for t in data:
+            key = key_of(t)
+            if key in terms:
+                raise ValueError(f"term {key} is given twice")
+            terms[key] = _json_fraction(t, seen)
+        return cls._new(dim, terms if all(terms.values()) else {k: c for k, c in terms.items() if c})
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(dim)
+
+    def _check_dim(self, other: "Terms") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_dim(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = terms.get(key, Fraction(0)) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+        return self._new(self.dim, terms)
+
+    def __neg__(self):
+        return self._new(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = _as_fraction(c)
+        return self._new(self.dim, {k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+
+class Poly(Terms):
     """Sparse polynomial in x_1..x_m with rational coefficients.
 
     Example:
@@ -49,32 +156,9 @@ class Poly:
         True
     """
 
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: Mapping[Monomial, Fraction] | None = None):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(exps)
-                if len(exps) != dim:
-                    raise ValueError(f"monomial {exps} does not have dimension {dim}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = _as_fraction(c)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "Poly":
-        return cls(dim)
 
     @classmethod
     def constant(cls, dim: int, c) -> "Poly":
@@ -95,37 +179,6 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_dim(self, other: "Poly") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_dim(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + c
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        out = Poly.__new__(Poly)
-        out.dim = self.dim
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.dim = self.dim
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -139,20 +192,7 @@ class Poly:
                     terms[exps] = acc
                 else:
                     del terms[exps]
-        out = Poly.__new__(Poly)
-        out.dim = self.dim
-        out.terms = terms
-        return out
-
-    def __rmul__(self, other) -> "Poly":
-        return self.scale(other)
-
-    def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
-        out = Poly.__new__(Poly)
-        out.dim = self.dim
-        out.terms = {e: v * c for e, v in self.terms.items()} if c else {}
-        return out
+        return self._new(self.dim, terms)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -181,15 +221,9 @@ class Poly:
                     terms[lowered] = acc
                 else:
                     del terms[lowered]
-        out = Poly.__new__(Poly)
-        out.dim = self.dim
-        out.terms = terms
-        return out
+        return self._new(self.dim, terms)
 
     # -- predicates / accessors --------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -217,14 +251,6 @@ class Poly:
     def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         for exps in sorted(self.terms, key=grlex_key):
             yield exps, self.terms[exps]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
@@ -258,16 +284,7 @@ class Poly:
         """Read `to_json` output in one strict pass: each monomial is `dim` ints
         (not 1.0 or True) >= 0 given once, and zero terms are dropped; else ValueError.
         `seen` is passed on to `_json_fraction`."""
-        terms: dict[Monomial, Fraction] = {}
-        for t in data:
-            exps = _json_monomial(t["exps"], dim)
-            if exps in terms:
-                raise ValueError(f"monomial {exps} is given twice")
-            terms[exps] = _json_fraction(t, seen)
-        out = cls.__new__(cls)
-        out.dim = dim
-        out.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
-        return out
+        return cls._read_json(data, dim, lambda t: _json_monomial(t["exps"], dim), seen)
 
 
 def _json_monomial(exps, dim: int) -> Monomial:

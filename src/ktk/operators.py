@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exactalg import Poly, _as_fraction, _json_fraction, _json_monomial, grlex_key, monomials_upto
+from .exactalg import Poly, Terms, _as_fraction, _json_monomial, grlex_key, monomials_upto
 from .solver import independent_subset, span_dim
 from .tensors import Signature, SymTensorField, _invert
 
@@ -28,31 +28,17 @@ def _term_key(key: tuple) -> tuple:
     return (grlex_key(d_exps), grlex_key(x_exps))
 
 
-class WeylOp:
-    """Normal-ordered polynomial-coefficient differential operator."""
+class WeylOp(Terms):
+    """Normal-ordered polynomial-coefficient differential operator, keyed by
+    (x_exps, d_exps) pairs."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim: int, terms=None):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for (x_exps, d_exps), c in terms.items():
-                x_exps, d_exps = tuple(x_exps), tuple(d_exps)
-                if len(x_exps) != dim or len(d_exps) != dim:
-                    raise ValueError("exponent tuple length does not match dimension")
-                c = _as_fraction(c)
-                if c:
-                    clean[(x_exps, d_exps)] = c
-        self.terms = clean
+    def _key(self, key) -> tuple:
+        x_exps, d_exps = key
+        return (super()._key(x_exps), super()._key(d_exps))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "WeylOp":
-        return cls(dim)
 
     @classmethod
     def constant(cls, dim: int, c) -> "WeylOp":
@@ -74,58 +60,14 @@ class WeylOp:
     @classmethod
     def from_poly(cls, poly: Poly) -> "WeylOp":
         z = (0,) * poly.dim
-        return cls(poly.dim, {(exps, z): c for exps, c in poly.terms.items()})
+        return cls._new(poly.dim, {(exps, z): c for exps, c in poly.terms.items()})
 
     # -- ring structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "WeylOp") -> "WeylOp":
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, Fraction(0)) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        res = WeylOp.__new__(WeylOp)
-        res.dim = self.dim
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "WeylOp":
-        return self.scale(-1)
-
-    def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylOp":
-        c = _as_fraction(c)
-        res = WeylOp.__new__(WeylOp)
-        res.dim = self.dim
-        res.terms = {k: v * c for k, v in self.terms.items()} if c else {}
-        return res
 
     def __mul__(self, other) -> "WeylOp":
         if isinstance(other, WeylOp):
             return weyl_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other) -> "WeylOp":
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def order(self) -> int:
         """Maximal total derivative degree; -1 for the zero operator."""
@@ -169,13 +111,11 @@ class WeylOp:
     def from_json(cls, data: list, dim: int) -> "WeylOp":
         """Read `to_json` output as strictly as `Poly.from_json`: each
         (x_exps, d_exps) pair is given once; else ValueError."""
-        terms = {}
-        for entry in data:
-            key = (_json_monomial(entry["x_exps"], dim), _json_monomial(entry["d_exps"], dim))
-            if key in terms:
-                raise ValueError(f"term {key} is given twice")
-            terms[key] = _json_fraction(entry)
-        return cls(dim, terms)
+        return cls._read_json(
+            data,
+            dim,
+            lambda t: (_json_monomial(t["x_exps"], dim), _json_monomial(t["d_exps"], dim)),
+        )
 
 
 def weyl_mul(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -184,8 +124,7 @@ def weyl_mul(A: WeylOp, B: WeylOp) -> WeylOp:
     Each exchange of d^beta past x^gamma follows
     d^b x^g = sum_nu C(b,nu) g!/(g-nu)! x^(g-nu) d^(b-nu), per axis.
     """
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
+    A._check_dim(B)
     dim = A.dim
     out: dict[tuple, Fraction] = {}
     for (xa, da), ca in A.terms.items():
@@ -206,10 +145,7 @@ def weyl_mul(A: WeylOp, B: WeylOp) -> WeylOp:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-    res = WeylOp.__new__(WeylOp)
-    res.dim = dim
-    res.terms = out
-    return res
+    return WeylOp._new(dim, out)
 
 
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -291,7 +227,6 @@ def divide_by_principal(C: WeylOp, signature: Signature) -> tuple[WeylOp, WeylOp
     g1 = Fraction(signature.g(1))
     work = dict(C.terms)
     alpha: dict[tuple, Fraction] = {}
-    box = KGFOperator(signature).principal()
     while True:
         candidates = [k for k in work if k[1][0] >= 2]
         if not candidates:
@@ -310,7 +245,7 @@ def divide_by_principal(C: WeylOp, signature: Signature) -> tuple[WeylOp, WeylOp
                 work[key] = acc
             elif key in work:
                 del work[key]
-    return WeylOp(m, alpha), WeylOp(m, work)
+    return WeylOp._new(m, alpha), WeylOp._new(m, work)
 
 
 @dataclass

@@ -362,7 +362,8 @@ class RankReport:
 
 
 def system_rank(system: ProlongedSystem) -> int:
-    """Exact rank of a prolonged system via its conserved-content blocks."""
+    """Exact rank of a prolonged system via its conserved-content blocks; a
+    row that crosses a block boundary raises ValueError."""
     m = system.signature.m
 
     def label_key(label):
@@ -376,6 +377,8 @@ def system_rank(system: ProlongedSystem) -> int:
     col_keys = [label_key(lab) for lab in system.col_labels]
     for (r, c), v in system.entries.items():
         by_block.setdefault(col_keys[c], {}).setdefault(r, {})[c] = v
+    if sum(map(len, by_block.values())) != len({r for r, _ in system.entries}):
+        raise ValueError("row crosses block boundary")
     return sum(len(echelon(by_block[key].values())) for key in sorted(by_block))
 
 

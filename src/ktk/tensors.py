@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key
+from .exactalg import Poly, back_substitute, clear_row, echelon
 
 SymMultiIndex = tuple  # non-decreasing tuple of axis labels in 1..m
 

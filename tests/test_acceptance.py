@@ -5,14 +5,12 @@ the captured output) and fails the build if its criterion is not met.
 """
 
 import hashlib
-import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,8 +19,6 @@ import pytest
 from ktk import (
     Poly,
     Signature,
-    SymTensorField,
-    build_order_s_basis,
     build_symmetry_operator,
     check_symmetry,
     commutator,

@@ -21,12 +21,11 @@ from ktk import (
     lemma4_contract,
     lemma5_scale,
     solve_basis,
-    traceless_project,
     x_squared,
 )
 from ktk.solver import AnsatzSpec
 
-from conftest import EUCLID, SIGS_BY_M, random_solution, residual_of
+from conftest import SIGS_BY_M, random_solution
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)

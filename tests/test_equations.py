@@ -20,7 +20,7 @@ from ktk import (
     traceless_project,
     x_squared,
 )
-from ktk.constructors import conformal_vectors, killing_vectors
+from ktk.constructors import killing_vectors
 from ktk.equations import residual_terms
 from ktk.tensors import _projection_data, enumerate_indices
 from ktk.solver import (
@@ -31,7 +31,7 @@ from ktk.solver import (
     unknown_labels,
 )
 
-from conftest import EUCLID, SIGS_BY_M, random_field
+from conftest import EUCLID, random_field
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)

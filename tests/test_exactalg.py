@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktk import Poly
+from ktk import Poly, WeylOp
 from ktk.exactalg import grlex_key
 
 
@@ -61,6 +61,21 @@ class TestExamples:
         p = x(1) + x(2) ** 3 + Poly.constant(2, 1)
         keys = [grlex_key(e) for e, _ in p.sorted_terms()]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "cls, key", [(Poly, lambda e: e), (WeylOp, lambda e: (e, (0,) * len(e)))], ids=["Poly", "WeylOp"]
+)
+def test_shared_term_map_core(cls, key):
+    with pytest.raises(ValueError, match="negative exponent"):
+        cls(2, {key((-1, 0)): 1})
+    with pytest.raises(ValueError) as err:
+        cls(2, {key((1, 0)): 1}) + cls(3, {key((1, 0, 0)): 1})
+    assert str(err.value) == "dimension mismatch: 2 vs 3"
+    a, b = cls(2, {key((0, 0)): 1}), (WeylOp if cls is Poly else Poly).constant(2, 1)
+    with pytest.raises(TypeError):
+        a + b
+    assert not a == b and a != b
 
 
 def polys(dim=2, max_degree=3):

@@ -6,7 +6,6 @@ Levi-Civita symbol) and is checked against the solver span.
 """
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from ktk import (
     conformal_residual,
     conformal_vectors,
     killing_residual,
-    killing_vectors,
     solve_basis,
     traceless_project,
     x_squared,

@@ -24,10 +24,10 @@ from ktk import (
     killing_vectors,
     lie_closure_check,
 )
-from ktk.operators import _completion_data, _grade, weyl_mul
+from ktk.operators import _completion_data, _grade
 from ktk.solver import in_rational_span
 
-from conftest import EUCLID, M4_SIGS, SIGS_BY_M, random_field, solution_family
+from conftest import EUCLID, SIGS_BY_M, solution_family
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)

@@ -22,7 +22,6 @@ from ktk import (
 )
 from ktk.solver import (
     AnsatzSpec,
-    fields_to_vectors,
     field_vector,
     in_rational_span,
     independent_subset,
@@ -33,7 +32,7 @@ from ktk.solver import (
     system_rank,
     unknown_labels,
 )
-from ktk.equations import prolong
+from ktk.equations import ProlongedSystem, prolong
 
 from conftest import EUCLID, SIGS_BY_M
 
@@ -310,6 +309,17 @@ class TestRankChecks:
         for (j, k, s, m) in [(1, 0, 1, 2), (1, 1, 1, 2), (2, 1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 3)]:
             sys_ = prolong(j, k, s, EUCLID[m])
             assert system_rank(sys_) == gauss_rank(sys_.dense())
+
+    def test_block_crossing_row_raises(self):
+        # One more entry puts row 0 in two conserved-content blocks; splitting
+        # it there would read rank 31 of 30 rows.
+        sig = Signature(2, 1)
+        data = prolong(2, 1, 1, sig).to_json()
+        data["entries"].append([0, 3, "1", "1"])
+        sys_ = ProlongedSystem.from_json(data, 2, 1, 1, sig)
+        assert matrix_rank(sys_.dense()) == sys_.n_rows == 30
+        with pytest.raises(ValueError, match="row crosses block boundary"):
+            system_rank(sys_)
 
     def test_report_json_keys(self):
         data = full_rank_check(1, 1, 1, Signature(1, 1)).to_json()

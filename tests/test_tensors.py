@@ -24,7 +24,7 @@ from ktk import (
 )
 from ktk.tensors import _invert, index_content
 
-from conftest import SIGS_BY_M, random_field
+from conftest import random_field
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
