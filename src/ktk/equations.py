@@ -62,15 +62,26 @@ def residual_terms(I: SymMultiIndex, mono: tuple, s: int, m: int):
 
 
 def _killing_scaled(comps: dict, s: int, m: int) -> dict[SymMultiIndex, dict[tuple, int]]:
-    """The order-s residual of integer components, as integer terms by index."""
+    """The order-s residual of integer components, as integer terms by index.
+
+    `derivs` maps each distinct monomial to its (position of D in the stencil,
+    d^D mono, factor) list, once per call: with I = () the stencil's K is D.
+    """
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
+    pos = {D: n for n, D in enumerate(enumerate_indices(s, m))}
+    derivs: dict[tuple, list] = {}
     out: dict[SymMultiIndex, dict[tuple, int]] = {}
     for idx, terms in comps.items():
+        entries = stencil(len(idx), s, m)[idx]
+        targets = [(out.setdefault(K, {}), weight) for _, K, weight in entries]
         for mono, c in terms.items():
-            for K, beta, factor in residual_terms(idx, mono, s, m):
-                acc = out.setdefault(K, {})
-                acc[beta] = acc.get(beta, 0) + c * factor
+            ds = derivs.get(mono)
+            if ds is None:
+                ds = derivs[mono] = [(pos[D], b, f) for D, b, f in residual_terms((), mono, s, m)]
+            for n, beta, factor in ds:
+                acc, weight = targets[n]
+                acc[beta] = acc.get(beta, 0) + c * factor * weight
     return out
 
 

@@ -76,6 +76,13 @@ class Terms:
             raise ValueError(f"negative exponent in {exps}")
         return exps
 
+    @staticmethod
+    def _unit(axis: int, dim: int) -> Monomial:
+        """Exponents of x_axis: 1 at the axis, 0 elsewhere; axis in 1..dim, else ValueError."""
+        if not 1 <= axis <= dim:
+            raise ValueError(f"axis {axis} out of range 1..{dim}")
+        return tuple(int(i == axis - 1) for i in range(dim))
+
     @classmethod
     def _new(cls, dim: int, terms: dict):
         """An instance that takes `terms` as is: valid keys, nonzero Fractions."""
@@ -167,10 +174,7 @@ class Poly(Terms):
     @classmethod
     def variable(cls, axis: int, dim: int) -> "Poly":
         """x_axis, with axis in 1..dim."""
-        if not 1 <= axis <= dim:
-            raise ValueError(f"axis {axis} out of range 1..{dim}")
-        exps = tuple(1 if i == axis - 1 else 0 for i in range(dim))
-        return cls(dim, {exps: Fraction(1)})
+        return cls(dim, {cls._unit(axis, dim): Fraction(1)})
 
     @classmethod
     def monomial(cls, exps: Iterable[int], c=1) -> "Poly":

@@ -47,15 +47,11 @@ class WeylOp(Terms):
 
     @classmethod
     def x(cls, axis: int, dim: int) -> "WeylOp":
-        z = (0,) * dim
-        e = tuple(1 if i == axis - 1 else 0 for i in range(dim))
-        return cls(dim, {(e, z): 1})
+        return cls(dim, {(cls._unit(axis, dim), (0,) * dim): 1})
 
     @classmethod
     def d(cls, axis: int, dim: int) -> "WeylOp":
-        z = (0,) * dim
-        e = tuple(1 if i == axis - 1 else 0 for i in range(dim))
-        return cls(dim, {(z, e): 1})
+        return cls(dim, {((0,) * dim, cls._unit(axis, dim)): 1})
 
     @classmethod
     def from_poly(cls, poly: Poly) -> "WeylOp":

@@ -300,8 +300,8 @@ def metric_outer(T: SymTensorField) -> SymTensorField:
 
 # Traceless projector per (rank, signature): for each index, its column of P.
 _PROJECTION_CACHE: dict[tuple[int, Signature], dict] = {}
-# The same columns times the lcm of their denominators: (lcm, integer columns).
-_INTEGER_PROJECTION_CACHE: dict[tuple[int, Signature], tuple[int, dict]] = {}
+# The same projector as its factors per (rank, signature), for `_project_scaled`.
+_FACTOR_CACHE: dict[tuple[int, Signature], tuple] = {}
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -362,41 +362,75 @@ def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
     return data
 
 
-def _integer_projection(rank: int, sig: Signature) -> tuple[int, dict[SymMultiIndex, list]]:
-    """(d, columns of d * P) for the least d that makes every entry an integer."""
+def _projection_factors(rank: int, sig: Signature) -> tuple[dict, list, int, list]:
+    """(tr_of, outer_of, d, dinv): the factors of P = 1 - outer . M^-1 . tr, M = tr . outer.
+
+    tr[t][K] and outer[K][t] are nonzero only for K = sort(T_t + (a, a)), T_t
+    the rank-(rank-2) indices: tr_of[K] lists those (t, g_aa), outer_of[t]
+    those (K, outer[K][t]).  Row r of dinv lists the nonzero (t, d M^-1[r][t])
+    for the least d that makes them integers, so d * P is integral too.
+    """
     key = (rank, sig)
-    cached = _INTEGER_PROJECTION_CACHE.get(key)
+    cached = _FACTOR_CACHE.get(key)
     if cached is None:
-        columns = _projection_data(rank, sig)
-        den = lcm(*(v.denominator for column in columns.values() for _, v in column))
-        cached = den, {
-            idx: [(K, v.numerator * (den // v.denominator)) for K, v in column]
-            for idx, column in columns.items()
-        }
-        _INTEGER_PROJECTION_CACHE[key] = cached
+        tr_of: dict[SymMultiIndex, list[tuple[int, int]]] = {}
+        outer_of = []
+        for t, T in enumerate(enumerate_indices(rank - 2, sig.m)):
+            pairs = []
+            for a in range(1, sig.m + 1):
+                K = tuple(sorted(T + (a, a)))
+                tr_of.setdefault(K, []).append((t, sig.g(a)))
+                pairs.append((K, comb(K.count(a), 2) * sig.g(a)))
+            outer_of.append(pairs)
+        composed = [[0] * len(outer_of) for _ in outer_of]
+        for c, pairs in enumerate(outer_of):
+            for K, w in pairs:
+                for r, g in tr_of[K]:
+                    composed[r][c] += g * w
+        inv = _invert(composed)
+        d = lcm(*(v.denominator for row in inv for v in row))
+        dinv = [
+            [(t, v.numerator * (d // v.denominator)) for t, v in enumerate(row) if v]
+            for row in inv
+        ]
+        cached = _FACTOR_CACHE[key] = (tr_of, outer_of, d, dinv)
     return cached
 
 
 def _project_scaled(
     comps: Mapping, rank: int, sig: Signature
 ) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
-    """(d, d * P applied to the integer components), by sorted index."""
-    den, columns = _integer_projection(rank, sig)
+    """(d, d * P applied to the integer components R), by sorted index: d * R
+    - outer(dinv . tr R), from `_projection_factors`; no column of P is built."""
+    tr_of, outer_of, d, dinv = _projection_factors(rank, sig)
+    traces: dict[int, dict[tuple, int]] = {}
     out: dict[SymMultiIndex, dict[tuple, int]] = {}
-    for idx, terms in comps.items():
-        for K, v in columns[idx]:
-            acc = out.setdefault(K, {})
+    for K, terms in comps.items():
+        out[K] = {mono: d * c for mono, c in terms.items()}
+        for t, g in tr_of.get(K, ()):
+            acc = traces.setdefault(t, {})
             for mono, c in terms.items():
-                acc[mono] = acc.get(mono, 0) + v * c
-    return den, {K: out[K] for K in sorted(out)}
+                acc[mono] = acc.get(mono, 0) + g * c
+    for row, pairs in zip(dinv, outer_of):
+        corr: dict[tuple, int] = {}
+        for t, v in row:
+            for mono, c in traces.get(t, {}).items():
+                corr[mono] = corr.get(mono, 0) + v * c
+        corr = {mono: c for mono, c in corr.items() if c}
+        if corr:
+            for K, w in pairs:
+                acc = out.setdefault(K, {})
+                for mono, c in corr.items():
+                    acc[mono] = acc.get(mono, 0) - w * c
+    return d, {K: out[K] for K in sorted(out)}
 
 
 def traceless_project(F: SymTensorField) -> SymTensorField:
     """Traceless part of F: subtract a sym(g (x) T) making every trace vanish.
 
-    The correction T is the unique solution of trace(F - metric_outer(T)) = 0;
-    the map is the projector of `_projection_data`, which adds P[K][I] times
-    the component at I to the component at K.  It runs on F and P each
+    The correction T is the unique solution of trace(F - metric_outer(T)) = 0,
+    so F - metric_outer(T) is the projector of `_projection_data` applied to
+    F.  It runs on F and the projector's factors (`_project_scaled`) each
     scaled to integers, and divides back once per nonzero output term.  Rank
     0 and 1 fields are returned unchanged.
     """

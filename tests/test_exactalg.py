@@ -78,6 +78,16 @@ def test_shared_term_map_core(cls, key):
     assert not a == b and a != b
 
 
+@pytest.mark.parametrize(
+    "make", [Poly.variable, WeylOp.x, WeylOp.d], ids=["Poly.variable", "WeylOp.x", "WeylOp.d"]
+)
+@pytest.mark.parametrize("axis", [0, 3, -1])
+def test_axis_outside_one_to_dim_rejected(make, axis):
+    with pytest.raises(ValueError, match=f"axis {axis} out of range 1..2"):
+        make(axis, 2)
+    assert make(2, 2) != make(1, 2)
+
+
 def polys(dim=2, max_degree=3):
     coeff = st.fractions(
         min_value=-5, max_value=5, max_denominator=4

@@ -1,6 +1,8 @@
 """Source hygiene: no module in src/ktk imports a name it never uses or binds
 a local it never reads.  The package's own __init__ re-exports its imports,
-so it is left out."""
+so it is left out of that check.  No module in src/ktk, __init__ included,
+has an `assert` statement: `python -O` strips them, so no invariant may rest
+on one."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ktk"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -41,6 +44,11 @@ def unread_locals(tree: ast.Module) -> list[str]:
     return out
 
 
+def assert_lines(tree: ast.Module) -> list[int]:
+    """Line numbers of the `assert` statements in tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports_or_unread_locals(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -59,3 +67,20 @@ def test_scanner_finds_both_faults():
     assert unused_imports(tree) == []
     assert unread_locals(tree) == ["f.box (line 3)"]
     assert unused_imports(ast.parse("import os, json\njson.dumps(1)\n")) == ["os"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_scanner_finds_asserts():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    assert x, 'x must be set'\n"
+        "    if x > 1:\n"
+        "        assert x < 9\n"
+        "    return x\n"
+    )
+    assert assert_lines(tree) == [2, 4]
+    assert assert_lines(ast.parse("raise AssertionError('no statement')\n")) == []

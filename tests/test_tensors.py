@@ -22,7 +22,8 @@ from ktk import (
     traceless_project,
     x_squared,
 )
-from ktk.tensors import _invert, index_content
+from ktk import solver, tensors
+from ktk.tensors import _invert, _project_scaled, _projection_data, index_content
 
 from conftest import random_field
 
@@ -152,6 +153,62 @@ class TestTracelessProject:
         assert _invert([[F(0), F(1, 2)], [F(3), F(0)]]) == [[0, F(1, 3)], [2, 0]]
         with pytest.raises(ValueError, match="singular"):
             _invert([[F(1), F(2)], [F(2), F(4)]])
+
+
+SMALL_SIGS = [Signature(p, m - p) for m in range(1, 5) for p in range(m + 1)]
+
+
+def _nonzero_terms(comps, d) -> dict:
+    """{(index, monomial): value / d} over the nonzero values of comps."""
+    return {
+        (K, mono): Fraction(c, d) for K, terms in comps.items() for mono, c in terms.items() if c
+    }
+
+
+class TestFactoredProjection:
+    """`_project_scaled` applies P through its trace factors; the columns of
+    `_projection_data` are the oracle, and `verify` must never build them."""
+
+    @pytest.mark.parametrize(
+        "rank, sig",
+        [(rank, sig) for rank in (2, 3, 4, 5) for sig in SMALL_SIGS] + [(6, MINK)],
+        ids=str,
+    )
+    def test_equals_projector_columns(self, rank, sig):
+        rng = random.Random(f"{rank}{sig}")
+        monos = [tuple(rng.randrange(3) for _ in range(sig.m)) for _ in range(3)]
+        comps = {}
+        for idx in enumerate_indices(rank, sig.m):
+            terms = {mono: rng.randint(-5, 5) for mono in rng.sample(monos, rng.randint(0, 3))}
+            if terms:
+                comps[idx] = terms
+        expect: dict = {}
+        for idx, terms in comps.items():
+            for K, v in _projection_data(rank, sig)[idx]:
+                acc = expect.setdefault(K, {})
+                for mono, c in terms.items():
+                    acc[mono] = acc.get(mono, 0) + v * c
+        den, got = _project_scaled(comps, rank, sig)
+        assert list(got) == sorted(got)
+        assert _nonzero_terms(got, den) == _nonzero_terms(expect, 1)
+
+    def test_verify_builds_no_projector_columns(self, monkeypatch):
+        one = SymTensorField(1, Signature(48, 0), {(1,): Poly.constant(48, 1)})
+        bases = [
+            solve_basis(AnsatzSpec("conformal", 2, 1, MINK)),
+            solve_basis(AnsatzSpec("conformal", 1, 2, Signature(2, 1))),
+            Basis("conformal", 1, 1, Signature(48, 0), [one], degree_bound=2),
+        ]
+
+        def refuse(rank, sig):
+            raise AssertionError(f"projector columns built for rank {rank} on {sig}")
+
+        monkeypatch.setattr(tensors, "_projection_data", refuse)
+        # every projector cache starts empty, so verify builds what it needs here
+        for name in [name for name in vars(tensors) if name.endswith("_CACHE")]:
+            monkeypatch.setattr(tensors, name, {})
+        for basis in bases:
+            assert solver.verify_basis(basis) == []
 
 
 class TestContractX:
