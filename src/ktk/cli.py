@@ -31,14 +31,14 @@ def _signature(args) -> Signature:
     if args.m is not None:
         if args.p is not None or args.q is not None:
             raise ConfigError("--m is a shorthand for --p N --q 0; do not mix")
-        return Signature(args.m, 0)
-    p = args.p if args.p is not None else 0
-    q = args.q if args.q is not None else 0
-    if p + q < 1:
-        raise ConfigError("signature needs p + q >= 1 (use --p/--q or --m)")
-    if p < 0 or q < 0:
-        raise ConfigError("p and q must be nonnegative")
-    return Signature(p, q)
+        p, q = args.m, 0
+    else:
+        p = args.p if args.p is not None else 0
+        q = args.q if args.q is not None else 0
+    try:
+        return Signature(p, q)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: need p, q >= 0 and p + q >= 1 (use --p/--q or --m)")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -201,6 +201,8 @@ def _run_op_check(args) -> int:
     results = []
     ok = True
     for n, F in enumerate(basis.elements):
+        if F.rank != basis.j or F.signature != basis.signature:
+            raise ConfigError(f"element {n}: rank/signature mismatch")
         try:
             Q = build(F)
         except ValueError as exc:

@@ -5,7 +5,9 @@ A candidate field is expanded as unknown rational coefficients on
 unknowns, so a complete basis is the nullspace of an integer matrix.  The
 matrix splits into small independent blocks: the ordinary residual conserves
 the per-axis count of index entries plus exponents, and the traceless variant
-still conserves its total and parity.  Every rank, nullspace and span test
+still conserves its total and parity.  Its rows are built in integers and
+projected through the one form in which the traceless projector is kept,
+the factors that the field residuals use.  Every rank, nullspace and span test
 here is read from the exact kernel in `ktk.exactalg`: one fraction-free
 (integer Bareiss) forward pass and one back-substitution.  Every emitted
 basis is in reduced echelon form over a graded-lex unknown order, so output
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .equations import DefiningSystem, ProlongedSystem, prolong, residual_terms
 from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
@@ -24,9 +27,9 @@ from .tensors import (
     Signature,
     SymMultiIndex,
     SymTensorField,
+    _project_scaled,
     enumerate_indices,
     index_content,
-    _projection_data,
 )
 
 # ---------------------------------------------------------------------------
@@ -213,49 +216,45 @@ class AnsatzSpec:
 
 
 def _residual_rows(spec: AnsatzSpec, labels_pos: dict):
-    """Rows of the order-s residual, keyed (residual index, monomial)."""
+    """Integer rows of the order-s residual, keyed (residual index, monomial)."""
     m = spec.signature.m
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     for (I, mono), u in labels_pos.items():
         for K, beta, factor in residual_terms(I, mono, spec.s, m):
             row = rows.setdefault((K, beta), {})
-            row[u] = row.get(u, Fraction(0)) + factor
+            row[u] = row.get(u, 0) + factor
     return rows
 
 
 def _conformal_rows(spec: AnsatzSpec, max_degree: int, labels_pos: dict):
-    """Traceless-residual rows plus trace-side-constraint rows.
+    """Traceless-residual rows plus trace-side-constraint rows, all integer.
 
-    The residual rows of one monomial beta are mapped by the traceless
-    projector: the row at (K, beta) adds P[K'][K] times itself to the row at
-    (K', beta).  Rows come out by beta, then by index.
+    The residual rows of one monomial beta form a rank-(j+s) tensor whose
+    entries are rows keyed by unknown; `_project_scaled` applies d times the
+    traceless projector to it, through the factors `verify` uses, and each
+    projected row is divided by the gcd of d and its entries.  Rows come
+    out by beta, then by index.
     """
     sig = spec.signature
     m = sig.m
     rows = _residual_rows(spec, labels_pos)
     if spec.j + spec.s >= 2:
-        columns = _projection_data(spec.j + spec.s, sig)
         by_beta: dict[tuple, dict] = {}
         for (K, beta), row in rows.items():
             by_beta.setdefault(beta, {})[K] = row
         rows = {}
         for beta, krows in by_beta.items():
-            projected: dict[SymMultiIndex, dict[int, Fraction]] = {}
-            for K, row in krows.items():
-                for K2, v in columns[K]:
-                    out = projected.setdefault(K2, {})
-                    for u, c in row.items():
-                        out[u] = out.get(u, 0) + v * c
-            for K2 in sorted(projected):
-                rows[(K2, beta)] = {u: c for u, c in projected[K2].items() if c}
+            d, projected = _project_scaled(krows, spec.j + spec.s, sig)
+            for K, row in projected.items():
+                g = gcd(d, *row.values())
+                rows[(K, beta)] = {u: c // g for u, c in row.items() if c}
     if spec.j >= 2:
         for T0 in enumerate_indices(spec.j - 2, m):
             for mono in monomials_upto(m, max_degree):
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for a in range(1, m + 1):
-                    key = (tuple(sorted(T0 + (a, a))), mono)
-                    u = labels_pos[key]
-                    row[u] = row.get(u, Fraction(0)) + sig.g(a)
+                    u = labels_pos[(tuple(sorted(T0 + (a, a))), mono)]
+                    row[u] = row.get(u, 0) + sig.g(a)
                 rows[("trace", T0, mono)] = {u: v for u, v in row.items() if v}
     return rows
 

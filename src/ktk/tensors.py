@@ -298,9 +298,7 @@ def metric_outer(T: SymTensorField) -> SymTensorField:
     return SymTensorField(j + 2, sig, out)
 
 
-# Traceless projector per (rank, signature): for each index, its column of P.
-_PROJECTION_CACHE: dict[tuple[int, Signature], dict] = {}
-# The same projector as its factors per (rank, signature), for `_project_scaled`.
+# The traceless projector as its factors per (rank, signature), for `_project_scaled`.
 _FACTOR_CACHE: dict[tuple[int, Signature], tuple] = {}
 
 
@@ -316,59 +314,16 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
 
 
-def _projection_data(rank: int, sig: Signature) -> dict[SymMultiIndex, list]:
-    """Sparse columns of the traceless projector on rank-`rank` coefficient tensors.
-
-    P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
-    is `trace` on coefficient tensors; the column of index I lists the
-    nonzero (K, P[K][I]).  Built once per key, and the only place P is built.
-    """
-    key = (rank, sig)
-    cached = _PROJECTION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m = sig.m
-    idx_j = enumerate_indices(rank, m)
-    idx_t = enumerate_indices(rank - 2, m)
-    pos_j = {idx: n for n, idx in enumerate(idx_j)}
-    nj, nt = len(idx_j), len(idx_t)
-    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k;
-    # tr[t][k] = trace matrix on rank-j coefficient tensors
-    outer = [[Fraction(0)] * nt for _ in idx_j]
-    tr = [[Fraction(0)] * nj for _ in idx_t]
-    for tn, tidx in enumerate(idx_t):
-        for a in range(1, m + 1):
-            kidx = tuple(sorted(tidx + (a, a)))
-            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
-            tr[tn][pos_j[kidx]] += sig.g(a)
-    composed = [
-        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
-        for r in range(nt)
-    ]
-    inv = _invert(composed)
-    invtr = [
-        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
-        for r in range(nt)
-    ]
-    data = {}
-    for i, idx in enumerate(idx_j):
-        column = []
-        for k, kidx in enumerate(idx_j):
-            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
-            if v:
-                column.append((kidx, v))
-        data[idx] = column
-    _PROJECTION_CACHE[key] = data
-    return data
-
-
 def _projection_factors(rank: int, sig: Signature) -> tuple[dict, list, int, list]:
     """(tr_of, outer_of, d, dinv): the factors of P = 1 - outer . M^-1 . tr, M = tr . outer.
 
-    tr[t][K] and outer[K][t] are nonzero only for K = sort(T_t + (a, a)), T_t
-    the rank-(rank-2) indices: tr_of[K] lists those (t, g_aa), outer_of[t]
-    those (K, outer[K][t]).  Row r of dinv lists the nonzero (t, d M^-1[r][t])
-    for the least d that makes them integers, so d * P is integral too.
+    P is the traceless projector on rank-`rank` coefficient tensors, outer is
+    `metric_outer` and tr is `trace`; these factors are the one form in which
+    P is kept, and no column of P is built.  tr[t][K] and outer[K][t] are
+    nonzero only for K = sort(T_t + (a, a)), T_t the rank-(rank-2) indices:
+    tr_of[K] lists those (t, g_aa), outer_of[t] those (K, outer[K][t]).  Row
+    r of dinv lists the nonzero (t, d M^-1[r][t]) for the least d that makes
+    them integers, so d * P is integral too.
     """
     key = (rank, sig)
     cached = _FACTOR_CACHE.get(key)
@@ -401,7 +356,8 @@ def _project_scaled(
     comps: Mapping, rank: int, sig: Signature
 ) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
     """(d, d * P applied to the integer components R), by sorted index: d * R
-    - outer(dinv . tr R), from `_projection_factors`; no column of P is built."""
+    - outer(dinv . tr R), from `_projection_factors`.  The inner keys of R are
+    opaque: monomials for a field, unknown ids for the solver's ansatz rows."""
     tr_of, outer_of, d, dinv = _projection_factors(rank, sig)
     traces: dict[int, dict[tuple, int]] = {}
     out: dict[SymMultiIndex, dict[tuple, int]] = {}
@@ -429,10 +385,11 @@ def traceless_project(F: SymTensorField) -> SymTensorField:
     """Traceless part of F: subtract a sym(g (x) T) making every trace vanish.
 
     The correction T is the unique solution of trace(F - metric_outer(T)) = 0,
-    so F - metric_outer(T) is the projector of `_projection_data` applied to
-    F.  It runs on F and the projector's factors (`_project_scaled`) each
-    scaled to integers, and divides back once per nonzero output term.  Rank
-    0 and 1 fields are returned unchanged.
+    so F - metric_outer(T) is the traceless projector P applied to F.  P is
+    kept in one form, its factors (`_projection_factors`), which the solver's
+    ansatz rows share.  It runs on F and those factors (`_project_scaled`)
+    each scaled to integers, and divides back once per nonzero output term.
+    Rank 0 and 1 fields are returned unchanged.
     """
     if F.rank < 2:
         return F

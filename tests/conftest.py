@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from ktk import (
     Poly,
@@ -13,6 +14,7 @@ from ktk import (
     enumerate_indices,
     killing_residual,
 )
+from ktk.tensors import _invert
 
 EUCLID = {m: Signature(m, 0) for m in (1, 2, 3, 4)}
 
@@ -75,3 +77,46 @@ def residual_of(kind: str, F: SymTensorField, s: int) -> SymTensorField:
     if kind == "ordinary":
         return killing_residual(F, s)
     return conformal_residual(F, s)
+
+
+@lru_cache(maxsize=None)
+def projection_columns(rank: int, sig: Signature) -> dict:
+    """Sparse columns of the traceless projector on rank-`rank` coefficient tensors,
+    built densely: the reference for the factored projector and the ansatz rows.
+
+    P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
+    is `trace` on coefficient tensors; the column of index I lists the
+    nonzero (K, P[K][I]).
+    """
+    m = sig.m
+    idx_j = enumerate_indices(rank, m)
+    idx_t = enumerate_indices(rank - 2, m)
+    pos_j = {idx: n for n, idx in enumerate(idx_j)}
+    nj, nt = len(idx_j), len(idx_t)
+    # outer[k][t] = coefficient of unit t-tensor in metric_outer, at index k;
+    # tr[t][k] = trace matrix on rank-j coefficient tensors
+    outer = [[Fraction(0)] * nt for _ in idx_j]
+    tr = [[Fraction(0)] * nj for _ in idx_t]
+    for tn, tidx in enumerate(idx_t):
+        for a in range(1, m + 1):
+            kidx = tuple(sorted(tidx + (a, a)))
+            outer[pos_j[kidx]][tn] += comb(kidx.count(a), 2) * sig.g(a)
+            tr[tn][pos_j[kidx]] += sig.g(a)
+    composed = [
+        [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
+        for r in range(nt)
+    ]
+    inv = _invert(composed)
+    invtr = [
+        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
+        for r in range(nt)
+    ]
+    data = {}
+    for i, idx in enumerate(idx_j):
+        column = []
+        for k, kidx in enumerate(idx_j):
+            v = (k == i) - sum(outer[k][r] * invtr[r][i] for r in range(nt))
+            if v:
+                column.append((kidx, v))
+        data[idx] = column
+    return data

@@ -83,6 +83,28 @@ class TestCount:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["basis", "--kind", "ordinary", "--rank", "1"],
+        ["count", "--kind", "ordinary", "--rank", "1"],
+        ["prolong-rank", "--rank", "1", "--k", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "0"], ["--m", "-2"], ["--p", "0", "--q", "0"], ["--p", "1", "--q", "-1"]],
+    ids=" ".join,
+)
+def test_invalid_signature_is_config_error(capsys, command, flags):
+    code, out, err = run(capsys, *command, *flags, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "invalid signature" in json.loads(err)["error"]
+
+
 class TestBasis:
     def test_plane_isometries_json(self, capsys):
         code, out, _ = run(
@@ -338,6 +360,22 @@ class TestOpCheck:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith("element 3:")
 
+    @pytest.mark.parametrize(
+        "key, value", [("signature", [2, 1]), ("j", 1)], ids=["signature", "j"]
+    )
+    def test_element_mismatch_is_config_error(self, capsys, tmp_path, key, value):
+        """An element whose rank or signature differs from the file's is
+        refused, as `verify` reports it."""
+        data = copy.deepcopy(_small_basis_json())
+        data[key] = value
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "op-check", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "element 0: rank/signature mismatch"}
+
     def test_bad_mass_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "kv.json"
         run(
@@ -422,11 +460,13 @@ def _mutate(doc, path, op, junk):
 
 
 class TestVerifyFuzz:
-    """Any mutation of a valid basis file ends in exit 0, 1 or 2, never a raise."""
+    """Any mutation of a valid basis file ends in exit 0, 1 or 2, never a raise,
+    on both commands that read one."""
 
-    @given(st.data())
+    @pytest.mark.parametrize("command", ["verify", "op-check"])
+    @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_mutated_basis_never_raises(self, data):
+    def test_mutated_basis_never_raises(self, command, data):
         doc = copy.deepcopy(_small_basis_json())
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(list(_paths(doc))))
@@ -438,7 +478,7 @@ class TestVerifyFuzz:
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             with redirect_stdout(out), redirect_stderr(err):
-                code = main(["verify", path, "--format", "json"])
+                code = main([command, path, "--format", "json"])
         assert code in (0, 1, 2)
         if code == 2:
             assert out.getvalue() == ""

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,7 +23,7 @@ from ktk import (
 )
 from ktk.constructors import killing_vectors
 from ktk.equations import residual_terms
-from ktk.tensors import _projection_data, enumerate_indices
+from ktk.tensors import enumerate_indices
 from ktk.solver import (
     AnsatzSpec,
     _conformal_rows,
@@ -31,7 +32,7 @@ from ktk.solver import (
     unknown_labels,
 )
 
-from conftest import EUCLID, random_field
+from conftest import EUCLID, projection_columns, random_field
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -125,13 +126,13 @@ def fraction_killing_residual(F, s):
 
 
 def fraction_traceless_project(F):
-    """P applied with its Fraction columns: the reference."""
+    """P applied with its dense Fraction columns: the reference."""
     if F.rank < 2:
         return F
     sig = F.signature
     out = {}
     for idx, poly in F.components.items():
-        for K, c in _projection_data(F.rank, sig)[idx]:
+        for K, c in projection_columns(F.rank, sig)[idx]:
             terms = out.setdefault(K, {})
             for mono, v in poly.terms.items():
                 terms[mono] = terms.get(mono, 0) + c * v
@@ -324,8 +325,21 @@ def _apply_rows(rows, vec):
     return out
 
 
+def _row_scales(j, s, sig, labels):
+    """For each residual key, the lcm of the denominators of that key's row of
+    the traceless residual, read off the unit fields: the integer conformal
+    ansatz row is that row times this lcm."""
+    out = {}
+    for I, mono in labels:
+        unit = SymTensorField(j, sig, {I: Poly.monomial(mono)})
+        for key, c in _coefficients(traceless_project(killing_residual(unit, s))).items():
+            out[key] = lcm(out.get(key, 1), c.denominator)
+    return out
+
+
 class TestStencilConsumers:
-    """The ansatz rows and the field residuals read one stencil and one projector."""
+    """The ansatz rows and the field residuals read one stencil and one projector;
+    each conformal row is the traceless residual's row cleared of denominators."""
 
     CASES = [(j, s, sig) for sig in (Signature(2, 1), Signature(1, 3))
              for j, s in ((1, 1), (2, 1), (1, 2), (2, 2))]
@@ -340,13 +354,15 @@ class TestStencilConsumers:
         conformal = _conformal_rows(AnsatzSpec("conformal", j, s, sig, degree), degree, pos)
         projected = {k: r for k, r in conformal.items() if k[0] != "trace"}
         traced = {k[1:]: r for k, r in conformal.items() if k[0] == "trace"}
+        scales = _row_scales(j, s, sig, labels)
         for _ in range(3):
             F = random_field(rng, j, sig, degree)
             vec = field_vector(F, pos)
             assert _apply_rows(ordinary, vec) == _coefficients(killing_residual(F, s))
-            assert _apply_rows(projected, vec) == _coefficients(
-                traceless_project(killing_residual(F, s))
-            )
+            assert _apply_rows(projected, vec) == {
+                key: c * scales[key]
+                for key, c in _coefficients(traceless_project(killing_residual(F, s))).items()
+            }
             assert _apply_rows(traced, vec) == (_coefficients(trace(F)) if j >= 2 else {})
 
 

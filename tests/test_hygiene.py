@@ -2,7 +2,8 @@
 a local it never reads.  The package's own __init__ re-exports its imports,
 so it is left out of that check.  No module in src/ktk, __init__ included,
 has an `assert` statement: `python -O` strips them, so no invariant may rest
-on one."""
+on one.  No module-level private name in src/ktk is left without a reader
+in src/ktk: tests alone do not keep code alive."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,62 @@ def test_scanner_finds_asserts():
     )
     assert assert_lines(tree) == [2, 4]
     assert assert_lines(ast.parse("raise AssertionError('no statement')\n")) == []
+
+
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """The names one module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _read_names(stmt: ast.stmt) -> set[str]:
+    """The names one statement reads: as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """module:name for each module-level `_name` (dunders aside) that no
+    module-level statement but its own definition reads, in any of trees."""
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [
+        f"{label}:{name}"
+        for label, tree in trees.items()
+        for stmt in tree.body
+        for name in _bound_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in reads if other is not stmt)
+    ]
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    assert dead_private_names(trees) == []
+
+
+def test_scanner_finds_dead_private_names():
+    trees = {
+        "a.py": ast.parse(
+            "_CACHE: dict = {}\n"
+            "_LIMIT = 3\n"
+            "def _used(n):\n"
+            "    return _CACHE.get(n)\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Box:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+        ),
+        "b.py": ast.parse("from a import _used\nimport a\nprint(_used(1), a._Box)\n"),
+    }
+    assert dead_private_names(trees) == ["a.py:_LIMIT", "a.py:_recursive"]

@@ -20,8 +20,11 @@ from ktk import (
     solve_basis,
     verify_basis,
 )
+from ktk.exactalg import clear_row
 from ktk.solver import (
     AnsatzSpec,
+    _conformal_rows,
+    _residual_rows,
     field_vector,
     in_rational_span,
     independent_subset,
@@ -34,7 +37,7 @@ from ktk.solver import (
 )
 from ktk.equations import ProlongedSystem, prolong
 
-from conftest import EUCLID, SIGS_BY_M
+from conftest import EUCLID, SIGS_BY_M, projection_columns
 
 
 def gauss_rank(matrix):
@@ -218,6 +221,50 @@ class TestAnsatz:
     def test_ordinary_degree_bound(self):
         assert AnsatzSpec("ordinary", 2, 1, EUCLID[3]).resolved_degree() == 2
         assert AnsatzSpec("conformal", 1, 1, EUCLID[3]).resolved_degree() == 2
+
+
+def reference_projected_rows(spec: AnsatzSpec, pos: dict) -> dict:
+    """The residual rows of each monomial projected with the dense Fraction
+    columns, in order of monomial then index, each cleared to integers."""
+    columns = projection_columns(spec.j + spec.s, spec.signature)
+    by_beta: dict = {}
+    for (K, beta), row in _residual_rows(spec, pos).items():
+        by_beta.setdefault(beta, {})[K] = row
+    out = {}
+    for beta, krows in by_beta.items():
+        projected: dict = {}
+        for K, row in krows.items():
+            for K2, v in columns[K]:
+                acc = projected.setdefault(K2, {})
+                for u, c in row.items():
+                    acc[u] = acc.get(u, 0) + v * c
+        for K2 in sorted(projected):
+            out[(K2, beta)] = clear_row({u: c for u, c in projected[K2].items() if c})
+    return out
+
+
+@pytest.mark.parametrize(
+    "j, s, sig",
+    [
+        (j, s, Signature(p, q))
+        for p, q in ((3, 0), (2, 1), (2, 2), (1, 3))
+        for j, s in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2))
+    ],
+    ids=str,
+)
+def test_conformal_rows_equal_cleared_dense_projection(j, s, sig):
+    """The integer ansatz rows projected through the factors are, key for key
+    and in order, the rows the dense projector columns give once cleared."""
+    spec = AnsatzSpec("conformal", j, s, sig)
+    degree = spec.resolved_degree()
+    pos = {lab: n for n, lab in enumerate(unknown_labels(j, sig.m, degree))}
+    rows = _conformal_rows(spec, degree, pos)
+    expect = reference_projected_rows(spec, pos)
+    got = {key: row for key, row in rows.items() if key[0] != "trace"}
+    assert list(got) == list(expect)
+    assert got == expect
+    assert list(rows)[: len(got)] == list(got)
+    assert all(type(c) is int for row in rows.values() for c in row.values())
 
 
 class TestSolveBasis:

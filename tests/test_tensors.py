@@ -23,9 +23,9 @@ from ktk import (
     x_squared,
 )
 from ktk import solver, tensors
-from ktk.tensors import _invert, _project_scaled, _projection_data, index_content
+from ktk.tensors import _invert, _project_scaled, index_content
 
-from conftest import random_field
+from conftest import projection_columns, random_field
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -166,8 +166,8 @@ def _nonzero_terms(comps, d) -> dict:
 
 
 class TestFactoredProjection:
-    """`_project_scaled` applies P through its trace factors; the columns of
-    `_projection_data` are the oracle, and `verify` must never build them."""
+    """`_project_scaled` applies P through its trace factors; the dense
+    columns of `conftest.projection_columns` are the oracle."""
 
     @pytest.mark.parametrize(
         "rank, sig",
@@ -184,7 +184,7 @@ class TestFactoredProjection:
                 comps[idx] = terms
         expect: dict = {}
         for idx, terms in comps.items():
-            for K, v in _projection_data(rank, sig)[idx]:
+            for K, v in projection_columns(rank, sig)[idx]:
                 acc = expect.setdefault(K, {})
                 for mono, c in terms.items():
                     acc[mono] = acc.get(mono, 0) + v * c
@@ -200,10 +200,6 @@ class TestFactoredProjection:
             Basis("conformal", 1, 1, Signature(48, 0), [one], degree_bound=2),
         ]
 
-        def refuse(rank, sig):
-            raise AssertionError(f"projector columns built for rank {rank} on {sig}")
-
-        monkeypatch.setattr(tensors, "_projection_data", refuse)
         # every projector cache starts empty, so verify builds what it needs here
         for name in [name for name in vars(tensors) if name.endswith("_CACHE")]:
             monkeypatch.setattr(tensors, name, {})
