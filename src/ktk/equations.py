@@ -6,20 +6,26 @@ be traceless and only asks for the traceless part of that residual to vanish.
 Differentiating the defining system k more times yields, at each point, a
 linear algebraic system on the order-(k+s) derivative components; its shape
 is what the counting helpers below report.
+
+The residuals run on fields scaled to integers, with int inner keys:
+monomial id * N + n for field n of N merged ones (`_killing_scaled`).  One
+field is the case N = 1, and `solver.verify_basis` checks a whole basis in
+one pass with N its number of elements.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .exactalg import _json_fraction
+from .exactalg import _json_array, _json_fraction, _json_key
 from .tensors import (
+    Record,
     Signature,
     SymMultiIndex,
     SymTensorField,
+    _json_int,
     _project_scaled,
     _scaled,
     _trace_scaled,
@@ -61,28 +67,68 @@ def residual_terms(I: SymMultiIndex, mono: tuple, s: int, m: int):
             yield K, tuple(exps), factor
 
 
-def _killing_scaled(comps: dict, s: int, m: int) -> dict[SymMultiIndex, dict[tuple, int]]:
+def _killing_scaled(
+    comps: dict, s: int, m: int, ids: dict, n_fields: int
+) -> dict[SymMultiIndex, dict[int, int]]:
     """The order-s residual of integer components, as integer terms by index.
 
-    `derivs` maps each distinct monomial to its (position of D in the stencil,
-    d^D mono, factor) list, once per call: with I = () the stencil's K is D.
+    `comps` holds `n_fields` fields in one map: the term of field n at the
+    monomial numbered i in `ids` sits under the int key i * n_fields + n.
+    The residual keys its terms the same way and numbers in `ids` each new
+    monomial it meets.  A derivative d^D x^mono = factor * x^beta moves a
+    term by the key offset (id(beta) - id(mono)) * n_fields, worked out once
+    per distinct monomial: with I = () the stencil's K is D.
     """
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
     pos = {D: n for n, D in enumerate(enumerate_indices(s, m))}
-    derivs: dict[tuple, list] = {}
-    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    monos = list(ids)
+    derivs: dict[int, list] = {}
+    out: dict[SymMultiIndex, dict[int, int]] = {}
     for idx, terms in comps.items():
         entries = stencil(len(idx), s, m)[idx]
         targets = [(out.setdefault(K, {}), weight) for _, K, weight in entries]
-        for mono, c in terms.items():
-            ds = derivs.get(mono)
+        for key, c in terms.items():
+            i = key // n_fields
+            ds = derivs.get(i)
             if ds is None:
-                ds = derivs[mono] = [(pos[D], b, f) for D, b, f in residual_terms((), mono, s, m)]
-            for n, beta, factor in ds:
+                ds = derivs[i] = [
+                    (pos[D], (ids.setdefault(beta, len(ids)) - i) * n_fields, factor)
+                    for D, beta, factor in residual_terms((), monos[i], s, m)
+                ]
+            for n, offset, factor in ds:
                 acc, weight = targets[n]
-                acc[beta] = acc.get(beta, 0) + c * factor * weight
+                acc[key + offset] = acc.get(key + offset, 0) + c * factor * weight
     return out
+
+
+def _residual_scaled(
+    comps: dict, rank: int, s: int, sig: Signature, ids: dict, n_fields: int, conformal: bool
+) -> tuple[int, dict[SymMultiIndex, dict[int, int]]]:
+    """(d, d times the order-s residual) of rank-`rank` integer fields merged
+    as in `_killing_scaled`; for the conformal kind the residual is its
+    traceless part and d the projector's denominator, else d = 1."""
+    res = _killing_scaled(comps, s, sig.m, ids, n_fields)
+    if conformal and rank + s >= 2:
+        return _project_scaled(res, rank + s, sig)
+    return 1, res
+
+
+def _field_residual(F: SymTensorField, s: int, conformal: bool) -> SymTensorField:
+    """The residual of one field: `_residual_scaled` with n_fields = 1."""
+    sig = F.signature
+    scale, comps = _scaled(F)
+    if conformal and _trace_scaled(comps, sig):
+        raise ValueError("candidate field is not traceless")
+    ids: dict[tuple, int] = {}
+    keyed = {
+        idx: {ids.setdefault(mono, len(ids)): c for mono, c in terms.items()}
+        for idx, terms in comps.items()
+    }
+    d, res = _residual_scaled(keyed, F.rank, s, sig, ids, 1, conformal)
+    monos = list(ids)
+    by_mono = {K: {monos[i]: c for i, c in terms.items()} for K, terms in res.items()}
+    return _unscaled(F.rank + s, sig, by_mono, scale * d)
 
 
 def killing_residual(F: SymTensorField, s: int) -> SymTensorField:
@@ -93,8 +139,7 @@ def killing_residual(F: SymTensorField, s: int) -> SymTensorField:
     The sums run on F scaled to integers by the lcm of its denominators.
     The result is zero exactly when F is a rank-j, order-s Killing tensor.
     """
-    scale, comps = _scaled(F)
-    return _unscaled(F.rank + s, F.signature, _killing_scaled(comps, s, F.dim), scale)
+    return _field_residual(F, s, False)
 
 
 def conformal_residual(F: SymTensorField, s: int) -> SymTensorField:
@@ -103,15 +148,7 @@ def conformal_residual(F: SymTensorField, s: int) -> SymTensorField:
     The trace test, the residual and the projection all run on F scaled to
     integers; only the nonzero terms of the result become Fractions.
     """
-    sig = F.signature
-    scale, comps = _scaled(F)
-    if F.rank >= 2 and _trace_scaled(comps, sig):
-        raise ValueError("candidate field is not traceless")
-    res = _killing_scaled(comps, s, sig.m)
-    if F.rank + s >= 2:
-        den, res = _project_scaled(res, F.rank + s, sig)
-        scale *= den
-    return _unscaled(F.rank + s, sig, res, scale)
+    return _field_residual(F, s, True)
 
 
 def count_eq_unknowns(j: int, k: int, s: int, m: int) -> tuple[int, int]:
@@ -123,8 +160,7 @@ def count_eq_unknowns(j: int, k: int, s: int, m: int) -> tuple[int, int]:
     return n_e, n_u
 
 
-@dataclass
-class ProlongedSystem:
+class ProlongedSystem(Record):
     """Sparse exact matrix of the k-fold differentiated defining system.
 
     Rows are labeled (K, B): equation index K of rank j+s and extra
@@ -164,15 +200,24 @@ class ProlongedSystem:
 
     @classmethod
     def from_json(cls, data: dict, j: int, k: int, s: int, sig: Signature) -> "ProlongedSystem":
+        """Read `to_json` output for (j, k, s, sig) in one strict pass: int
+        rows and cols equal to the shape of `prolong`, and each entry an
+        [int row, int col, num, den] array inside the matrix, given once,
+        whose value is an integer; else ValueError."""
         system = prolong(j, k, s, sig)
-        if data["rows"] != system.n_rows or data["cols"] != system.n_cols:
+        rows = _json_int(_json_key(data, "rows"), "rows")
+        cols = _json_int(_json_key(data, "cols"), "cols")
+        if (rows, cols) != (system.n_rows, system.n_cols):
             raise ValueError("matrix shape does not match (j, k, s, signature)")
         entries = {}
-        for r, c, num, den in data["entries"]:
-            v = _json_fraction({"num": num, "den": den})
+        for n, entry in enumerate(_json_array(_json_key(data, "entries"), "entries")):
+            if type(entry) is not list or len(entry) != 4:
+                raise ValueError(f"entry {n} is not a [row, col, num, den] array")
+            r, c, num, den = entry
+            v = _json_fraction(num, den)
             if v.denominator != 1:
                 raise ValueError(f"entry ({r}, {c}) = {v} is not an integer")
-            if r not in range(system.n_rows) or c not in range(system.n_cols):
+            if not (type(r) is type(c) is int and r in range(rows) and c in range(cols)):
                 raise ValueError(f"entry ({r!r}, {c!r}) lies outside the matrix")
             if (r, c) in entries:
                 raise ValueError(f"entry ({r}, {c}) is given twice")
@@ -222,8 +267,7 @@ def prolong(j: int, k: int, s: int, signature: Signature) -> ProlongedSystem:
     return system
 
 
-@dataclass(frozen=True)
-class DefiningSystem:
+class DefiningSystem(Record, frozen=True):
     """Which residual a candidate field must annihilate."""
 
     kind: str  # "ordinary" | "conformal"

@@ -93,17 +93,20 @@ class Terms:
 
     @classmethod
     def _read_json(cls, data: list, dim: int, key_of, seen: dict | None = None):
-        """Read a JSON term list in one strict pass: `key_of(term)` parses a
-        term's key, given at most once, and `_json_fraction` (passed `seen`)
-        its value; zero terms are dropped.  Any fault is a ValueError."""
+        """Read a JSON term list in one strict pass: each term is a JSON
+        object, `key_of(term)` parses its key, given at most once, and
+        `_json_fraction` (passed `seen`) its "num" and "den"; zero terms are
+        dropped.  Any fault is a ValueError."""
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         terms: dict = {}
-        for t in data:
+        for t in _json_array(data, "term list"):
+            if type(t) is not dict:
+                raise ValueError(f"a term must be a JSON object, got {type(t).__name__}")
             key = key_of(t)
             if key in terms:
                 raise ValueError(f"term {key} is given twice")
-            terms[key] = _json_fraction(t, seen)
+            terms[key] = _json_fraction(t.get("num"), t.get("den"), seen)
         return cls._new(dim, terms if all(terms.values()) else {k: c for k, c in terms.items() if c})
 
     @classmethod
@@ -288,32 +291,48 @@ class Poly(Terms):
         """Read `to_json` output in one strict pass: each monomial is `dim` ints
         (not 1.0 or True) >= 0 given once, and zero terms are dropped; else ValueError.
         `seen` is passed on to `_json_fraction`."""
-        return cls._read_json(data, dim, lambda t: _json_monomial(t["exps"], dim), seen)
+        return cls._read_json(data, dim, lambda t: _json_monomial(t.get("exps"), dim), seen)
+
+
+def _json_array(value, name: str) -> list:
+    """A JSON array, else ValueError: a string, an object or null is not read
+    as an empty or a short one."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_key(obj, key: str):
+    """obj[key] for a JSON object obj that has the key, else ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object with {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
 
 
 def _json_monomial(exps, dim: int) -> Monomial:
-    """A JSON exponent list as a monomial: `dim` ints (not 1.0 or True) >= 0,
+    """A JSON exponent array as a monomial: `dim` ints (not 1.0 or True) >= 0,
     else ValueError."""
-    mono = tuple(exps)
-    if len(mono) != dim or any(type(e) is not int or e < 0 for e in mono):
-        raise ValueError(f"monomial {exps!r} is not {dim} nonnegative ints")
-    return mono
+    if type(exps) is not list or len(exps) != dim or any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"monomial {exps!r} is not an array of {dim} nonnegative ints")
+    return tuple(exps)
 
 
 _NUM = re.compile(r"-?[0-9]+")
 _DEN = re.compile(r"0*[1-9][0-9]*")
 
 
-def _json_fraction(term: Mapping, seen: dict | None = None) -> Fraction:
-    """The rational of a JSON term's "num" and "den": strings of ASCII digits,
-    num with an optional "-" and den nonzero; any fault is a ValueError.
+def _json_fraction(num, den, seen: dict | None = None) -> Fraction:
+    """The rational num/den of a JSON term: strings of ASCII digits, num with
+    an optional "-" and den nonzero; a missing one (None) or any other fault
+    is a ValueError.
 
     `seen` maps the (num, den) pairs already read by one reader call to their
     Fraction, which is immutable and so is shared.  The type check comes
     before the lookup, so 1, 1.0 and True never share an entry."""
-    num, den = term["num"], term["den"]
     if type(num) is not str or type(den) is not str:
-        raise ValueError(f"num and den must be strings in term {term!r}")
+        raise ValueError(f"num and den must be strings, got {num!r} and {den!r}")
     if seen is None:
         seen = {}
     value = seen.get((num, den))

@@ -14,13 +14,12 @@ every completed operator is certified by that same exact division.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exactalg import Poly, Terms, _as_fraction, _json_monomial, grlex_key, monomials_upto
 from .solver import independent_subset, span_dim
-from .tensors import Signature, SymTensorField, _invert
+from .tensors import Record, Signature, SymTensorField, _invert
 
 
 def _term_key(key: tuple) -> tuple:
@@ -110,7 +109,7 @@ class WeylOp(Terms):
         return cls._read_json(
             data,
             dim,
-            lambda t: (_json_monomial(t["x_exps"], dim), _json_monomial(t["d_exps"], dim)),
+            lambda t: (_json_monomial(t.get("x_exps"), dim), _json_monomial(t.get("d_exps"), dim)),
         )
 
 
@@ -157,8 +156,7 @@ def anticommutator(A: WeylOp, B: WeylOp) -> WeylOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KGFOperator:
+class KGFOperator(Record, frozen=True):
     """Wave operator sum_a g^aa d_a^2 - kappa^2 in signature (p, q)."""
 
     signature: Signature
@@ -244,8 +242,7 @@ def divide_by_principal(C: WeylOp, signature: Signature) -> tuple[WeylOp, WeylOp
     return WeylOp._new(m, alpha), WeylOp._new(m, work)
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(Record):
     is_symmetry: bool
     alpha: WeylOp
     remainder: WeylOp

@@ -16,18 +16,19 @@ is deterministic down to the byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .equations import DefiningSystem, ProlongedSystem, prolong, residual_terms
+from .equations import ProlongedSystem, _residual_scaled, prolong, residual_terms
 from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
 from .tensors import (
     Basis,
+    Record,
     Signature,
     SymMultiIndex,
     SymTensorField,
     _project_scaled,
+    _trace_scaled,
     enumerate_indices,
     index_content,
 )
@@ -184,8 +185,7 @@ def fields_to_vectors(fields: list[SymTensorField], j: int, m: int, max_degree: 
     return [field_vector(F, pos) for F in fields]
 
 
-@dataclass
-class AnsatzSpec:
+class AnsatzSpec(Record):
     """Degree-bounded polynomial ansatz for one defining system."""
 
     kind: str
@@ -336,8 +336,7 @@ def saturation_check(spec: AnsatzSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RankReport:
+class RankReport(Record):
     j: int
     k: int
     s: int
@@ -416,42 +415,86 @@ def _unknown_items(F: SymTensorField):
 def verify_basis(basis: Basis) -> list[str]:
     """Re-check residuals and independence; returns problem descriptions.
 
-    A bad residual is reported with its first index, the first monomial of
-    that component in graded-lex order, and the exact value there.
+    The residuals of all elements are found in one pass.  Each element n is
+    scaled to integers by the lcm of its denominators, and the elements are
+    merged into one component map whose inner key is the int i * N + n, for
+    N elements and i the number of a monomial, given as the pass first
+    meets it.  One trace test, one stencil pass (`equations._killing_scaled`)
+    and, for the conformal kind, one projection then run over that map, and
+    each element's problem is read off the nonzero keys it owns.  A bad
+    residual is reported with its first index, the first monomial of that
+    component in graded-lex order, and the exact value there.
 
-    Independence is certified by leading unknowns.  The lead of an element
-    is its least unknown (monomial in graded-lex order, then index) with a
-    nonzero coefficient.  If the leads are pairwise distinct, the elements
-    are independent: in a combination with some nonzero coefficient, take
-    the element with the smallest lead among those.  Every other element in
-    it is zero at that lead, which is smaller than its own, so the
-    combination is nonzero there.  Only when leads collide or an element is
-    zero does the check fall back to one exact elimination, which also
-    names the first element that lies in the span of the ones before it.
+    Independence is certified by leading unknowns, taken in the same loop
+    that merges the elements.  The lead of an element is its least unknown
+    (monomial in graded-lex order, then index) with a nonzero coefficient.
+    If the leads are pairwise distinct, the elements are independent: in a
+    combination with some nonzero coefficient, take the element with the
+    smallest lead among those.  Every other element in it is zero at that
+    lead, which is smaller than its own, so the combination is nonzero
+    there.  Only when leads collide or an element is zero does the check
+    fall back to one exact elimination, which also names the first element
+    that lies in the span of the ones before it.
     """
-    problems = []
-    system = DefiningSystem(basis.kind, basis.j, basis.s, basis.signature)
-    for n, el in enumerate(basis.elements):
-        if el.rank != basis.j or el.signature != basis.signature:
-            problems.append(f"element {n}: rank/signature mismatch")
+    elements, sig = basis.elements, basis.signature
+    N = len(elements)
+    conformal = basis.kind == "conformal"
+    failed: dict[int, str] = {}
+    scales: dict[int, int] = {}
+    leads = []
+    ids: dict[tuple, int] = {}
+    grlex: list[tuple] = []  # grlex_key of each numbered monomial
+    comps: dict[SymMultiIndex, dict[int, int]] = {}
+    for n, el in enumerate(elements):
+        if el.rank != basis.j or el.signature != sig:
+            failed[n] = "rank/signature mismatch"
+            leads.append(min((u for u, _ in _unknown_items(el)), default=None))
             continue
+        scale = scales[n] = lcm(
+            *(c.denominator for poly in el.components.values() for c in poly.terms.values())
+        )
+        lead = None
+        for idx, poly in el.components.items():
+            acc = comps.setdefault(idx, {})
+            for mono, c in poly.terms.items():
+                i = ids.get(mono)
+                if i is None:
+                    i = ids[mono] = len(grlex)
+                    grlex.append(grlex_key(mono))
+                acc[i * N + n] = c.numerator * (scale // c.denominator)
+                if lead is None or (grlex[i], idx) < lead:
+                    lead = (grlex[i], idx)
+        leads.append(lead)
+    if conformal:
+        for terms in _trace_scaled(comps, sig).values():
+            for key in terms:
+                failed.setdefault(key % N, "candidate field is not traceless")
+    if len(failed) < N:
         try:
-            res = system.residual(el)
+            d, res = _residual_scaled(comps, basis.j, basis.s, sig, ids, N, conformal)
         except ValueError as exc:
-            problems.append(f"element {n}: {exc}")
-            continue
-        if not res.is_zero():
-            bad = min(res.components)
-            mono, value = next(res.components[bad].sorted_terms())
-            problems.append(
-                f"element {n}: nonzero residual at index {bad}, "
-                f"monomial {mono}, value {value}"
+            d, res = 1, {}
+            for n in range(N):
+                failed.setdefault(n, str(exc))
+        monos = list(ids)
+        bad: dict[int, tuple] = {}
+        for K in sorted(res):
+            if any(res[K].values()):
+                for key, c in res[K].items():
+                    i, n = divmod(key, N)
+                    if c and n not in failed:
+                        # K is the least bad index of n; keep its least monomial
+                        got = bad.get(n)
+                        if got is None or got[0] == K and grlex_key(monos[i]) < grlex_key(got[1]):
+                            bad[n] = (K, monos[i], c)
+        for n, (K, mono, c) in bad.items():
+            failed[n] = (
+                f"nonzero residual at index {K}, monomial {mono}, "
+                f"value {Fraction(c, scales[n] * d)}"
             )
-    leads = {
-        min((u for u, _ in _unknown_items(el)), default=None) for el in basis.elements
-    } - {None}
-    if len(leads) != len(basis.elements):
-        vecs = [dict(_unknown_items(el)) for el in basis.elements]
+    problems = [f"element {n}: {failed[n]}" for n in sorted(failed)]
+    if len(set(leads) - {None}) != N:
+        vecs = [dict(_unknown_items(el)) for el in elements]
         independent = independent_subset(vecs)
         if len(independent) != len(vecs):
             first = min(set(range(len(vecs))).difference(independent))

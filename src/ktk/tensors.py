@@ -10,18 +10,63 @@ g_aa * x^a.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .exactalg import Poly, back_substitute, clear_row, echelon
+from .exactalg import Poly, _json_array, _json_key, back_substitute, clear_row, echelon
 
 SymMultiIndex = tuple  # non-decreasing tuple of axis labels in 1..m
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Base of the package's value classes, in place of `dataclasses`, whose
+    import pulls `inspect`, `ast` and `dis` into every CLI start.  The
+    annotated class attributes are the fields, in order, and a class
+    attribute is a field's default.  Fields are given positionally or by
+    keyword and checked by `__post_init__`; == compares two instances of one
+    class field by field, and repr lists the fields.  A subclass declared
+    with `frozen=True` refuses assignment and hashes its fields."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._frozen
+            cls.__hash__ = lambda self: hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if (
+            len(args) > len(fields)
+            or len(values) < len(args) + len(kwargs)
+            or not values.keys() <= set(fields)
+            or any(f not in values and not hasattr(type(self), f) for f in fields)
+        ):
+            name = type(self).__name__
+            raise TypeError(f"{name} takes the fields {fields}, got {args}, {kwargs}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _frozen(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class Signature(Record, frozen=True):
     """Metric signature (p pluses, q minuses); dimension m = p + q."""
 
     p: int
@@ -165,15 +210,15 @@ class SymTensorField:
         """Read `to_json` output like `Poly.from_json` (`seen` is passed on): ints
         for the rank and the signature, each index `rank` sorted int axes in 1..m
         given once."""
-        rank = _json_int(data["rank"], "rank")
-        sig = Signature(*(_json_int(v, "signature entry") for v in data["signature"]))
+        rank = _json_int(_json_key(data, "rank"), "rank")
+        sig = _json_signature(_json_key(data, "signature"))
         m = sig.m
         comps: dict[SymMultiIndex, Poly] = {}
-        for entry in data["components"]:
-            idx = _checked_index(entry["index"], rank, m)
+        for entry in _json_array(_json_key(data, "components"), "components"):
+            idx = _checked_index(_json_array(_json_key(entry, "index"), "index"), rank, m)
             if idx in comps:
                 raise ValueError(f"index {idx} is given twice")
-            comps[idx] = Poly.from_json(entry["poly"], m, seen)
+            comps[idx] = Poly.from_json(_json_key(entry, "poly"), m, seen)
         # every check of __init__ is made above, so its second pass is skipped
         out = cls.__new__(cls)
         out.rank = rank
@@ -197,6 +242,13 @@ def _json_int(value, name: str, least: int = 0) -> int:
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     return value
+
+
+def _json_signature(value) -> Signature:
+    """A JSON [p, q] array of ints as a Signature, else ValueError."""
+    if len(_json_array(value, "signature")) != 2:
+        raise ValueError(f"signature must be [p, q], got {len(value)} entries")
+    return Signature(*(_json_int(v, "signature entry") for v in value))
 
 
 def symmetrize(
@@ -424,18 +476,19 @@ def contract_x(F: SymTensorField, metric: bool = True) -> SymTensorField:
     return SymTensorField(F.rank - 1, sig, out)
 
 
-@dataclass
-class Basis:
+class Basis(Record):
     """Ordered list of fields solving one defining system."""
 
     kind: str  # "ordinary" | "conformal"
     j: int
     s: int
     signature: Signature
-    elements: list[SymTensorField] = field(default_factory=list)
+    elements: list[SymTensorField] | None = None  # None stands for a new empty list
     degree_bound: int = 0
 
     def __post_init__(self):
+        if self.elements is None:
+            self.elements = []
         if self.kind not in ("ordinary", "conformal"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.j < 0 or self.s < 1:
@@ -462,12 +515,15 @@ class Basis:
         Each distinct (num, den) pair of the file is read to one Fraction."""
         seen: dict = {}
         basis = cls(
-            kind=data["kind"],
-            j=_json_int(data["j"], "j"),
-            s=_json_int(data["s"], "s", 1),
-            signature=Signature(*(_json_int(v, "signature entry") for v in data["signature"])),
-            elements=[SymTensorField.from_json(el, seen) for el in data["elements"]],
-            degree_bound=_json_int(data["degree_bound"], "degree_bound"),
+            kind=_json_key(data, "kind"),
+            j=_json_int(_json_key(data, "j"), "j"),
+            s=_json_int(_json_key(data, "s"), "s", 1),
+            signature=_json_signature(_json_key(data, "signature")),
+            elements=[
+                SymTensorField.from_json(el, seen)
+                for el in _json_array(_json_key(data, "elements"), "elements")
+            ],
+            degree_bound=_json_int(_json_key(data, "degree_bound"), "degree_bound"),
         )
         count = data.get("count", len(basis))
         if type(count) is not int or count != len(basis):

@@ -6,6 +6,7 @@ from functools import lru_cache
 from math import comb
 
 from ktk import (
+    DefiningSystem,
     Poly,
     Signature,
     SymTensorField,
@@ -14,6 +15,7 @@ from ktk import (
     enumerate_indices,
     killing_residual,
 )
+from ktk.solver import _unknown_items, independent_subset
 from ktk.tensors import _invert
 
 EUCLID = {m: Signature(m, 0) for m in (1, 2, 3, 4)}
@@ -120,3 +122,41 @@ def projection_columns(rank: int, sig: Signature) -> dict:
                 column.append((kidx, v))
         data[idx] = column
     return data
+
+
+def verify_basis_per_element(basis) -> list[str]:
+    """The problem list of `verify_basis`, found one element at a time: the
+    reference for the one-pass version.  Each element's residual comes from
+    `DefiningSystem.residual`, and independence from distinct leads or, when
+    they collide, one `independent_subset` elimination."""
+    problems = []
+    system = DefiningSystem(basis.kind, basis.j, basis.s, basis.signature)
+    for n, el in enumerate(basis.elements):
+        if el.rank != basis.j or el.signature != basis.signature:
+            problems.append(f"element {n}: rank/signature mismatch")
+            continue
+        try:
+            res = system.residual(el)
+        except ValueError as exc:
+            problems.append(f"element {n}: {exc}")
+            continue
+        if not res.is_zero():
+            bad = min(res.components)
+            mono, value = next(res.components[bad].sorted_terms())
+            problems.append(
+                f"element {n}: nonzero residual at index {bad}, "
+                f"monomial {mono}, value {value}"
+            )
+    leads = {
+        min((u for u, _ in _unknown_items(el)), default=None) for el in basis.elements
+    } - {None}
+    if len(leads) != len(basis.elements):
+        vecs = [dict(_unknown_items(el)) for el in basis.elements]
+        independent = independent_subset(vecs)
+        if len(independent) != len(vecs):
+            first = min(set(range(len(vecs))).difference(independent))
+            problems.append(
+                f"elements are linearly dependent: element {first} "
+                "lies in the span of the elements before it"
+            )
+    return problems

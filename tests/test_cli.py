@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktk import AnsatzSpec, Signature, solve_basis
+from ktk import AnsatzSpec, Poly, Signature, WeylOp, solve_basis
 from ktk.cli import main
+from ktk.equations import ProlongedSystem, prolong
+from ktk.operators import build_symmetry_operator
+from ktk.tensors import SymTensorField
 
 
 def run(capsys, *argv):
@@ -191,6 +194,36 @@ class TestVerify:
         )
         assert json.loads(out)["problems"] == [problem]
         assert err == problem + "\n"
+
+    MIXED_PROBLEMS = [
+        "element 1: rank/signature mismatch",
+        "element 3: candidate field is not traceless",
+        "element 5: nonzero residual at index (1, 1, 3), monomial (0, 0, 0), value -1/15",
+        "elements are linearly dependent: element 7 lies in the span of the elements before it",
+    ]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_mixed_problems_report(self, capsys, tmp_path, fmt):
+        """One file with a signature mismatch (element 1), a trace (3), a bad
+        residual (5), a duplicate (7 repeats 2) and a zero element (9)."""
+        data = solve_basis(AnsatzSpec("conformal", 2, 1, Signature(2, 1))).to_json()
+        els = data["elements"]
+        els[1]["signature"] = [1, 2]
+        els[3]["components"][0]["poly"][0]["num"] = "2"
+        els[5]["components"][2]["poly"][0]["den"] = "3"
+        els[7] = copy.deepcopy(els[2])
+        els[9]["components"] = []
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path), "--format", fmt)
+        assert code == 1
+        assert err == "".join(p + "\n" for p in self.MIXED_PROBLEMS)
+        if fmt == "json":
+            head = '{\n  "kind": "conformal",\n  "j": 2,\n  "s": 1,\n  "signature": [\n    2,\n    1\n  ],\n'
+            body = "".join(f'    "{p}",\n' for p in self.MIXED_PROBLEMS)[:-2]
+            assert out == head + f'  "count": 35,\n  "ok": false,\n  "problems": [\n{body}\n  ]\n}}\n'
+        else:
+            assert out == "35 elements: FAILED\n" + err
 
     def test_unreadable_file_is_config_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
@@ -417,6 +450,14 @@ class TestMalformedBasis:
         assert len(lines) == 1
         assert list(json.loads(lines[0])) == ["error"]
 
+    @pytest.mark.parametrize("command", ["verify", "op-check"])
+    def test_deep_nesting_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert (code, out) == (2, "")
+        assert "recursion" in json.loads(err)["error"]
+
 
 @functools.cache
 def _small_basis_json() -> dict:
@@ -438,8 +479,9 @@ def _paths(node, path=()):
 
 
 # Replacement values: wrong types, a zero denominator ("0"), out-of-range or
-# disagreeing ints (rank, index entry, signature, count) and an unsorted index.
-_JUNK = [None, True, 1.5, -1, 0, 2, 7, "0", "x", [], {}, "conformal", [2, 1]]
+# disagreeing ints (rank, index entry, signature, count), an unsorted index,
+# and the empty string and object, which are no empty array.
+_JUNK = [None, True, 1.5, -1, 0, 2, 7, "0", "x", "", [], {}, "conformal", [2, 1]]
 
 
 def _mutate(doc, path, op, junk):
@@ -483,6 +525,100 @@ class TestVerifyFuzz:
         if code == 2:
             assert out.getvalue() == ""
             assert list(json.loads(err.getvalue())) == ["error"]
+
+
+class TestNonArrayJson:
+    """A string or an object where the format has an array is an error, not
+    an empty array: exit 2 with one JSON error, or a ValueError."""
+
+    # the path to the array, and the basis it is in: elements with a count
+    # of 0, which the parent read as a valid empty basis; and a rank-0 basis,
+    # whose index the parent read as () from ""
+    RANK1 = ("--m", "3", "--rank", "1", "--kind", "ordinary")
+    CASES = {
+        "elements": (RANK1, ("elements",)),
+        "components": (RANK1, ("elements", 0, "components")),
+        "poly": (RANK1, ("elements", 0, "components", 0, "poly")),
+        "index": (("--m", "2", "--rank", "0", "--kind", "ordinary"),
+                  ("elements", 0, "components", 0, "index")),
+    }
+
+    @pytest.mark.parametrize("junk", ["", {}], ids=["string", "object"])
+    @pytest.mark.parametrize("where", sorted(CASES))
+    def test_basis_file_exits_two(self, capsys, tmp_path, where, junk):
+        args, keys = self.CASES[where]
+        path = tmp_path / "b.json"
+        code, _, _ = run(capsys, "basis", *args, "--format", "json", "--output", str(path))
+        assert code == 0
+        data = json.loads(path.read_text())
+        functools.reduce(lambda node, key: node[key], keys[:-1], data)[keys[-1]] = junk
+        if where == "elements":
+            data["count"] = 0
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path), "--format", "json")
+        assert (code, out) == (2, "")
+        assert "must be a JSON array" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: WeylOp.from_json("", 2),
+            lambda: WeylOp.from_json({}, 2),
+            lambda: ProlongedSystem.from_json(
+                {**prolong(1, 1, 1, Signature(1, 1)).to_json(), "entries": {}}, 1, 1, 1, Signature(1, 1)
+            ),
+            # these raised TypeError or KeyError
+            lambda: Poly.from_json([{"exps": None, "num": "1", "den": "1"}], 2),
+            lambda: WeylOp.from_json([1], 2),
+            lambda: WeylOp.from_json([{"x_exps": [0, 0], "num": "1", "den": "1"}], 2),
+            lambda: SymTensorField.from_json(
+                {"rank": 1, "signature": [1, 1], "components": [{"index": 1, "poly": []}]}
+            ),
+        ],
+        ids=["weylop-string", "weylop-object", "prolonged-entries-object", "poly-exps-null",
+             "weylop-int-term", "weylop-no-d-exps", "field-int-index"],
+    )
+    def test_reader_raises_value_error(self, read):
+        with pytest.raises(ValueError):
+            read()
+
+
+@functools.cache
+def _weylop_json() -> list:
+    """A WeylOp with x, d, mixed and constant terms on R^{1,1}."""
+    F = SymTensorField(2, Signature(1, 1), {(1, 2): Poly.from_json(
+        [{"exps": [1, 0], "num": "3", "den": "7"}, {"exps": [0, 0], "num": "-1", "den": "1"}], 2
+    )})
+    return build_symmetry_operator(F).to_json()
+
+
+_PROLONGED = (1, 1, 1, Signature(1, 1))
+_READERS = {
+    "weylop": (_weylop_json, lambda doc: WeylOp.from_json(doc, 2)),
+    "prolonged": (lambda: prolong(*_PROLONGED).to_json(),
+                  lambda doc: ProlongedSystem.from_json(doc, *_PROLONGED)),
+}
+
+
+class TestReaderFuzz:
+    """Any mutation of a valid WeylOp or ProlongedSystem document ends in a
+    ValueError or in an object that reads back the same from its own JSON."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutation_reads_or_raises_value_error(self, reader, data):
+        make, read = _READERS[reader]
+        doc = copy.deepcopy(make())
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            op = data.draw(st.sampled_from(["drop", "replace", "repeat", "reverse"]))
+            doc = _mutate(doc, path, op, copy.deepcopy(data.draw(st.sampled_from(_JUNK))))
+        try:
+            obj = read(doc)
+        except ValueError:
+            return
+        assert read(obj.to_json()) == obj
 
 
 class TestProlongRank:

@@ -3,9 +3,14 @@ a local it never reads.  The package's own __init__ re-exports its imports,
 so it is left out of that check.  No module in src/ktk, __init__ included,
 has an `assert` statement: `python -O` strips them, so no invariant may rest
 on one.  No module-level private name in src/ktk is left without a reader
-in src/ktk: tests alone do not keep code alive."""
+in src/ktk: tests alone do not keep code alive.  A CLI start imports every
+ktk module and none of the modules that `dataclasses` would pull in."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +149,17 @@ def test_scanner_finds_dead_private_names():
         "b.py": ast.parse("from a import _used\nimport a\nprint(_used(1), a._Box)\n"),
     }
     assert dead_private_names(trees) == ["a.py:_LIMIT", "a.py:_recursive"]
+
+
+def test_cli_start_imports_no_dataclasses():
+    """`import ktk.cli` loads all six ktk modules, which the benchmark's traced
+    run wraps from `sys.modules`, and none of the modules behind
+    `dataclasses`, which cost every CLI start about 20 ms."""
+    code = "import json, sys, ktk.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    ktk_modules = {f"ktk.{p.stem}" for p in MODULES} - {"ktk.cli"}
+    assert len(ktk_modules) == 6 and ktk_modules <= loaded

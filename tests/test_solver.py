@@ -1,5 +1,6 @@
 """Exact linear algebra and degree-bounded basis solving."""
 
+import functools
 import json
 import os
 import random
@@ -12,7 +13,10 @@ import pytest
 
 import ktk.solver
 from ktk import (
+    Basis,
+    Poly,
     Signature,
+    SymTensorField,
     build_order_s_basis,
     full_rank_check,
     nullspace,
@@ -37,7 +41,13 @@ from ktk.solver import (
 )
 from ktk.equations import ProlongedSystem, prolong
 
-from conftest import EUCLID, SIGS_BY_M, projection_columns
+from conftest import (
+    EUCLID,
+    M4_SIGS,
+    SIGS_BY_M,
+    projection_columns,
+    verify_basis_per_element,
+)
 
 
 def gauss_rank(matrix):
@@ -462,3 +472,124 @@ class TestVerifyBasis:
         monkeypatch.setattr("ktk.solver.span_dim", no_elimination)
         monkeypatch.setattr("ktk.solver.independent_subset", no_elimination)
         assert verify_basis(basis) == []
+
+
+# ---------------------------------------------------------------------------
+# the one-pass verify_basis against the per-element reference
+# ---------------------------------------------------------------------------
+
+
+def _plane48_basis() -> Basis:
+    one = SymTensorField(1, Signature(48, 0), {(1,): Poly.constant(48, 1)})
+    return Basis("conformal", 1, 1, Signature(48, 0), [one], degree_bound=2)
+
+
+ORACLE_BASES = {
+    **{
+        f"conformal-j2-p{sig.p}q{sig.q}": ("conformal", 2, 1, sig.p, sig.q)
+        for sig in M4_SIGS
+    },
+    "conformal-j1-s2-p2q1": ("conformal", 1, 2, 2, 1),
+    "ordinary-j3-s2-p1q3": ("ordinary", 3, 2, 1, 3),
+    "ordinary-j5-p1q3": ("ordinary", 5, 1, 1, 3),
+}
+
+
+@functools.cache
+def _solved(kind, j, s, p, q) -> Basis:
+    return solve_basis(AnsatzSpec(kind, j, s, Signature(p, q)))
+
+
+def _other_signature(sig: Signature) -> Signature:
+    return Signature(sig.q, sig.p) if sig.p != sig.q else Signature(sig.p + 1, sig.q - 1)
+
+
+def perturbed_copies(basis: Basis, rng: random.Random) -> dict[str, Basis]:
+    """Copies of basis with one kind of fault each, and one with all of them:
+    a residual, a trace, a rank/signature mismatch, a duplicate, a zero
+    element, and rescaled elements among faulty ones."""
+    j, sig, els = basis.j, basis.signature, basis.elements
+    n = len(els)
+
+    def copy(changes):
+        elements = list(els)
+        for k, el in changes.items():
+            elements[k] = el
+        return Basis(basis.kind, j, basis.s, sig, elements, basis.degree_bound)
+
+    def residual(k):
+        # one top-degree term on an index of distinct axes (where j <= m):
+        # the lead and the trace stay as they were
+        idx = tuple(range(1, j + 1)) if j <= sig.m else tuple(sorted(rng.choices(range(1, sig.m + 1), k=j)))
+        exps = [0] * sig.m
+        for _ in range(basis.degree_bound):
+            exps[rng.randrange(sig.m)] += 1
+        bump = Poly.monomial(exps, Fraction(rng.choice([1, -2, 5]), rng.choice([1, 3, 7])))
+        return els[k] + SymTensorField(j, sig, {idx: bump})
+
+    def trace(k):
+        # x1^s on an index that repeats axis 1: not traceless for j >= 2,
+        # and a bad residual for every kind
+        idx = tuple(sorted((1,) * min(j, 2) + tuple(rng.choices(range(1, sig.m + 1), k=j - 2))))
+        bump = Poly.monomial((basis.s,) + (0,) * (sig.m - 1), Fraction(1, 3))
+        return els[k] + SymTensorField(j, sig, {idx: bump})
+
+    def mismatch(k):
+        if rng.random() < 0.5:
+            other = _other_signature(sig)
+            comps = {idx: Poly(other.m, poly.terms) for idx, poly in els[k].components.items()}
+            return SymTensorField(j, other, comps)
+        return SymTensorField(j + 1, sig, {(1,) * (j + 1): Poly.constant(sig.m, 1)})
+
+    a, b, c, d, e = sorted(rng.sample(range(n), 5))
+    return {
+        "residual": copy({a: residual(a), d: residual(d)}),
+        "trace": copy({b: trace(b)}),
+        "mismatch": copy({c: mismatch(c)}),
+        "duplicate": copy({e: els[b]}),
+        "zero": copy({a: SymTensorField(j, sig, {})}),
+        "rescaled": copy({
+            a: els[a].scale(Fraction(3, 7)), b: residual(b), c: els[c].scale(Fraction(-5, 2)),
+            d: residual(d).scale(Fraction(2, 9)),
+        }),
+        "mixed": copy({
+            a: mismatch(a), b: trace(b), c: residual(c), d: SymTensorField(j, sig, {}), e: els[a],
+        }),
+    }
+
+
+class TestVerifyOracle:
+    """The one-pass verify_basis finds exactly the problems, in the same
+    words and order, that checking one element at a time finds."""
+
+    @staticmethod
+    def _check(basis: Basis, rng: random.Random, skip=()) -> int:
+        """The number of perturbed copies checked; each must have a problem."""
+        assert verify_basis(basis) == verify_basis_per_element(basis) == []
+        copies = {k: v for k, v in perturbed_copies(basis, rng).items() if k not in skip}
+        for label, copy in copies.items():
+            expect = verify_basis_per_element(copy)
+            assert expect, label
+            assert verify_basis(copy) == expect, label
+        return len(copies)
+
+    # Colliding leads cost one elimination of the whole basis per copy, which
+    # takes seconds on the larger files; they take the other faults only.
+    COLLIDING = ("duplicate", "zero", "mixed")
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_per_element_reference(self, name):
+        skip = self.COLLIDING if name == "ordinary-j5-p1q3" else ()
+        assert self._check(_solved(*ORACLE_BASES[name]), random.Random(name), skip) == 7 - len(skip)
+
+    def test_plane48_file(self):
+        basis = _plane48_basis()
+        assert verify_basis(basis) == verify_basis_per_element(basis) == []
+        basis.elements.append(basis.elements[0].scale(2))
+        assert verify_basis(basis) == verify_basis_per_element(basis) != []
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("sig", M4_SIGS, ids=lambda sig: f"p{sig.p}q{sig.q}")
+    def test_matches_on_conformal_rank3_spacetime(self, sig):
+        basis = _solved("conformal", 3, 1, sig.p, sig.q)
+        assert self._check(basis, random.Random(f"j3-{sig}"), self.COLLIDING) == 4

@@ -37,6 +37,43 @@ def metric_field(sig):
     return metric_outer(SymTensorField(0, sig, {(): Poly.constant(sig.m, 1)}))
 
 
+class TestRecord:
+    """The value classes keep what their dataclass versions had."""
+
+    def test_construction_defaults_and_checks(self):
+        assert Signature(1, 3) == Signature(q=3, p=1) == Signature(1, q=3)
+        basis = Basis("conformal", 2, 1, MINK)
+        assert (basis.elements, basis.degree_bound) == ([], 0)
+        assert basis.elements is not Basis("conformal", 2, 1, MINK).elements
+        assert AnsatzSpec("ordinary", 1, 1, E2).max_degree is None
+        for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"p": 2}), ((1,), {"r": 2})]:
+            with pytest.raises(TypeError):
+                Signature(*args, **kwargs)
+        with pytest.raises(ValueError):
+            Signature(0, 0)
+        with pytest.raises(ValueError):
+            Basis("weird", 1, 1, E2)
+
+    def test_equality_hash_and_immutability(self):
+        assert Signature(1, 3) != Signature(3, 1)
+        assert Signature(1, 3) != (1, 3)
+        assert hash(Signature(1, 3)) == hash(Signature(1, 3))
+        assert len({Signature(1, 3), Signature(1, 3), E2}) == 2
+        with pytest.raises(AttributeError):
+            MINK.p = 2
+        with pytest.raises(TypeError):
+            hash(Basis("ordinary", 1, 1, E2))
+        spec = AnsatzSpec("ordinary", 1, 1, E2)
+        spec.max_degree = 3
+        assert spec == AnsatzSpec("ordinary", 1, 1, E2, 3) != AnsatzSpec("ordinary", 1, 1, E2)
+
+    def test_repr_lists_fields(self):
+        assert repr(MINK) == "Signature(p=1, q=3)"
+        assert repr(AnsatzSpec("conformal", 1, 1, MINK)) == (
+            "AnsatzSpec(kind='conformal', j=1, s=1, signature=Signature(p=1, q=3), max_degree=None)"
+        )
+
+
 class TestEnumeration:
     def test_rank1_dim3(self):
         assert enumerate_indices(1, 3) == [(1,), (2,), (3,)]
