@@ -45,8 +45,11 @@ def _signature(args) -> Signature:
 def _emit(args, payload: dict, text: str) -> None:
     body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {args.output!r}: {exc}")
     else:
         sys.stdout.write(body)
 

@@ -261,12 +261,14 @@ def _family(kind: str, j: int, s: int, signature: Signature) -> list[SymTensorFi
 
     Seeds are the rank-j products of (conformal) Killing vectors, projected
     traceless after each factor for the conformal kind; the empty product is
-    the scalar 1.  Each seed is multiplied by every x^delta, and for the
-    conformal kind every x^delta (x^2)^c, with |delta| + c <= s - 1: each
-    affine factor (lemma 3) or x^2 (lemma 5) raises the order by one.  The
-    monomial fields e_I x^delta (for the conformal kind their traceless
-    parts) need no loop of their own: e_I is a product of translations, and
-    the traceless projection commutes with scalar factors.
+    the scalar 1.  For s >= 2 they are first reduced to the canonical basis
+    of the order-1 family they span, which drops the many dependent products
+    before they are multiplied.  Each seed is multiplied by every x^delta,
+    and for the conformal kind every x^delta (x^2)^c, with |delta| + c <=
+    s - 1: each affine factor (lemma 3) or x^2 (lemma 5) raises the order by
+    one.  The monomial fields e_I x^delta (for the conformal kind their
+    traceless parts) need no loop of their own: e_I is a product of
+    translations, and the traceless projection commutes with scalar factors.
     """
     m = signature.m
     conformal = kind == "conformal"
@@ -279,6 +281,9 @@ def _family(kind: str, j: int, s: int, signature: Signature) -> list[SymTensorFi
             if conformal:
                 F = traceless_project(F)
         seeds.append(F)
+    if s > 1:
+        degree = AnsatzSpec(kind, j, 1, signature).resolved_degree()
+        seeds = _canonical_basis(kind, j, 1, signature, seeds, degree).elements
     xsq = x_squared(signature)
     multipliers = [
         Poly.monomial(exps) * xsq**c

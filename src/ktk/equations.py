@@ -8,9 +8,11 @@ linear algebraic system on the order-(k+s) derivative components; its shape
 is what the counting helpers below report.
 
 The residuals run on fields scaled to integers, with int inner keys:
-monomial id * N + n for field n of N merged ones (`_killing_scaled`).  One
-field is the case N = 1, and `solver.verify_basis` checks a whole basis in
-one pass with N its number of elements.
+monomial id * N + n for field n of N merged ones (`_killing_scaled`).  This
+one pass serves every consumer, differing only in N: one field is the case
+N = 1, `solver.verify_basis` checks a whole basis with N its number of
+elements, and the solver's ansatz rows are the residual of the generic
+field, one merged field per unknown.
 """
 
 from __future__ import annotations

@@ -2,16 +2,17 @@
 
 A candidate field is expanded as unknown rational coefficients on
 (component index, monomial) pairs; the defining residual is linear in those
-unknowns, so a complete basis is the nullspace of an integer matrix.  The
-matrix splits into small independent blocks: the ordinary residual conserves
-the per-axis count of index entries plus exponents, and the traceless variant
-still conserves its total and parity.  Its rows are built in integers and
-projected through the one form in which the traceless projector is kept,
-the factors that the field residuals use.  Every rank, nullspace and span test
-here is read from the exact kernel in `ktk.exactalg`: one fraction-free
-(integer Bareiss) forward pass and one back-substitution.  Every emitted
-basis is in reduced echelon form over a graded-lex unknown order, so output
-is deterministic down to the byte.
+unknowns, so a complete basis is the nullspace of an integer matrix.  Its
+rows come from the one residual pass that `verify_basis` and the field
+residuals run (`equations._residual_scaled`), with one merged field per
+unknown.  The matrix splits into small independent blocks: the ordinary
+residual conserves the per-axis count of index entries plus exponents, the
+traceless variant still conserves its total and parity, and `system_rank`
+splits the prolonged systems by the same count.  Every rank, nullspace and
+span test here is read from the exact kernel in `ktk.exactalg`: one
+fraction-free (integer Bareiss) forward pass and one back-substitution.
+Every emitted basis is in reduced echelon form over a graded-lex unknown
+order, so output is deterministic down to the byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .equations import ProlongedSystem, _residual_scaled, prolong, residual_terms
+from .equations import ProlongedSystem, _residual_scaled, prolong
 from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
 from .tensors import (
     Basis,
@@ -27,7 +28,6 @@ from .tensors import (
     Signature,
     SymMultiIndex,
     SymTensorField,
-    _project_scaled,
     _trace_scaled,
     enumerate_indices,
     index_content,
@@ -215,101 +215,104 @@ class AnsatzSpec(Record):
         return 2 * (self.j + self.s - 1)
 
 
-def _residual_rows(spec: AnsatzSpec, labels_pos: dict):
-    """Integer rows of the order-s residual, keyed (residual index, monomial)."""
-    m = spec.signature.m
-    rows: dict[tuple, dict[int, int]] = {}
-    for (I, mono), u in labels_pos.items():
-        for K, beta, factor in residual_terms(I, mono, spec.s, m):
-            row = rows.setdefault((K, beta), {})
-            row[u] = row.get(u, 0) + factor
-    return rows
+def _ansatz_rows(spec: AnsatzSpec, labels: list) -> dict[tuple, dict[int, int]]:
+    """Integer rows of the defining system on the ansatz unknowns.
 
-
-def _conformal_rows(spec: AnsatzSpec, max_degree: int, labels_pos: dict):
-    """Traceless-residual rows plus trace-side-constraint rows, all integer.
-
-    The residual rows of one monomial beta form a rank-(j+s) tensor whose
-    entries are rows keyed by unknown; `_project_scaled` applies d times the
-    traceless projector to it, through the factors `verify` uses, and each
-    projected row is divided by the gcd of d and its entries.  Rows come
-    out by beta, then by index.
+    The rows are the residual of the generic field, whose coefficient at
+    label u is the unknown u.  That field goes through `verify_basis`'s
+    merged pass as one field per unknown, comps[I][id(mono) * N + u] = 1
+    for N unknowns, so row (K, beta) lists each unknown's coefficient in d
+    times residual component K at x^beta (d = 1 for the ordinary kind),
+    divided by the gcd of d and its entries.  Rows come by beta in
+    graded-lex order, then by K.  The conformal kind adds the rows
+    ("trace", T, mono) of the trace side constraint after them, by T and
+    then mono.
     """
-    sig = spec.signature
-    m = sig.m
-    rows = _residual_rows(spec, labels_pos)
-    if spec.j + spec.s >= 2:
-        by_beta: dict[tuple, dict] = {}
-        for (K, beta), row in rows.items():
-            by_beta.setdefault(beta, {})[K] = row
-        rows = {}
-        for beta, krows in by_beta.items():
-            d, projected = _project_scaled(krows, spec.j + spec.s, sig)
-            for K, row in projected.items():
-                g = gcd(d, *row.values())
-                rows[(K, beta)] = {u: c // g for u, c in row.items() if c}
-    if spec.j >= 2:
-        for T0 in enumerate_indices(spec.j - 2, m):
-            for mono in monomials_upto(m, max_degree):
-                row: dict[int, int] = {}
-                for a in range(1, m + 1):
-                    u = labels_pos[(tuple(sorted(T0 + (a, a))), mono)]
-                    row[u] = row.get(u, 0) + sig.g(a)
-                rows[("trace", T0, mono)] = {u: v for u, v in row.items() if v}
+    N = len(labels)
+    ids: dict[tuple, int] = {}
+    comps: dict[SymMultiIndex, dict[int, int]] = {}
+    for u, (I, mono) in enumerate(labels):
+        comps.setdefault(I, {})[ids.setdefault(mono, len(ids)) * N + u] = 1
+    monos = list(ids)  # graded-lex, and every beta is among them
+
+    def by_mono(items):
+        """The terms of each index K regrouped as rows keyed (i, K), i the monomial id."""
+        grouped: dict[tuple, dict[int, int]] = {}
+        for K, terms in items:
+            for key, c in terms.items():
+                i, u = divmod(key, N)
+                grouped.setdefault((i, K), {})[u] = c
+        return grouped
+
+    conformal = spec.kind == "conformal"
+    d, res = _residual_scaled(comps, spec.j, spec.s, spec.signature, ids, N, conformal)
+    grouped = by_mono(res.items())
+    rows = {}
+    for i, K in sorted(grouped):
+        row = grouped[(i, K)]
+        g = gcd(d, *row.values())
+        rows[(K, monos[i])] = {u: c // g for u, c in row.items() if c}
+    if conformal:
+        traces = by_mono(_trace_scaled(comps, spec.signature).items())
+        for i, T in sorted(traces, key=lambda iT: (iT[1], iT[0])):
+            rows[("trace", T, monos[i])] = traces[(i, T)]
     return rows
 
 
-def _content_key(label, spec: AnsatzSpec):
-    I, mono = label
-    m = spec.signature.m
-    content = list(index_content(I, m))
-    for i, e in enumerate(mono):
-        content[i] += e
-    if spec.kind == "ordinary":
-        return tuple(content)
+def _content_key(I: SymMultiIndex, exps: tuple, m: int, kind: str = "ordinary") -> tuple:
+    """The block of an unknown (I, exps): how often each axis appears in the
+    index I plus the exponents exps, which the residual and its derivatives
+    conserve.  The traceless residual conserves only its total and parity."""
+    content = tuple(a + e for a, e in zip(index_content(I, m), exps))
+    if kind == "ordinary":
+        return content
     return (sum(content), tuple(c % 2 for c in content))
 
 
+def _split_blocks(col_keys: list, rows) -> dict:
+    """Columns grouped by key, each block as (its columns, its rows), where a
+    row's columns are renumbered by place in the block and its zeros dropped.
+    A row with columns in two blocks raises ValueError."""
+    blocks: dict = {}
+    place = []
+    for u, key in enumerate(col_keys):
+        cols = blocks.setdefault(key, ([], []))[0]
+        place.append(len(cols))
+        cols.append(u)
+    for row in rows:
+        if row:
+            key = col_keys[next(iter(row))]
+            if any(col_keys[u] != key for u in row):
+                raise ValueError("row crosses block boundary")
+            blocks[key][1].append({place[u]: c for u, c in row.items() if c})
+    return blocks
+
+
 def _solve_blocks(labels, rows, key_of) -> list[dict[int, Fraction]]:
-    """Nullspace of a block-diagonal system, canonical per block.
+    """Nullspace of a block-diagonal system of integer rows, canonical per block.
 
     key_of maps an unknown id to its block; a row that crosses a block
     boundary raises ValueError.  Returns reduced vectors in global
     coordinates, ordered by leading unknown.
     """
-    blocks: dict[object, list[int]] = {}
-    for u in range(len(labels)):
-        blocks.setdefault(key_of(u), []).append(u)
-    row_groups: dict[object, list[dict[int, Fraction]]] = {k: [] for k in blocks}
-    for row in rows.values():
-        if not row:
-            continue
-        keys = {key_of(u) for u in row}
-        if len(keys) != 1:
-            raise ValueError("row crosses block boundary")
-        row_groups[keys.pop()].append(row)
-    out = []
-    for key in sorted(blocks, key=lambda k: (str(type(k)), k)):
-        cols = blocks[key]
-        local = {u: i for i, u in enumerate(cols)}
-        int_rows = [clear_row(row, local) for row in row_groups[key]]
-        for vec in _nullspace_sparse(int_rows, len(cols)):
-            out.append({cols[c]: v for c, v in vec.items()})
-    out.sort(key=lambda vec: min(vec))
+    blocks = _split_blocks([key_of(u) for u in range(len(labels))], rows.values())
+    out = [
+        {cols[c]: v for c, v in vec.items()}
+        for cols, block_rows in blocks.values()
+        for vec in _nullspace_sparse(block_rows, len(cols))
+    ]
+    out.sort(key=min)
     return out
 
 
 def solve_basis(spec: AnsatzSpec) -> Basis:
     """Complete basis of degree-bounded solutions of the defining system."""
     max_degree = spec.resolved_degree()
-    m = spec.signature.m
-    labels = unknown_labels(spec.j, m, max_degree)
-    labels_pos = {lab: i for i, lab in enumerate(labels)}
-    if spec.kind == "ordinary":
-        rows = _residual_rows(spec, labels_pos)
-    else:
-        rows = _conformal_rows(spec, max_degree, labels_pos)
-    vectors = _solve_blocks(labels, rows, lambda u: _content_key(labels[u], spec))
+    labels = unknown_labels(spec.j, spec.signature.m, max_degree)
+    rows = _ansatz_rows(spec, labels)
+    vectors = _solve_blocks(
+        labels, rows, lambda u: _content_key(*labels[u], spec.signature.m, spec.kind)
+    )
     elements = vectors_to_fields(vectors, labels, spec.j, spec.signature)
     return Basis(
         kind=spec.kind,
@@ -363,21 +366,12 @@ def system_rank(system: ProlongedSystem) -> int:
     """Exact rank of a prolonged system via its conserved-content blocks; a
     row that crosses a block boundary raises ValueError."""
     m = system.signature.m
-
-    def label_key(label):
-        first, second = label
-        content = list(index_content(first, m))
-        for a in second:
-            content[a - 1] += 1
-        return tuple(content)
-
-    by_block: dict[tuple, dict[int, dict[int, int]]] = {}
-    col_keys = [label_key(lab) for lab in system.col_labels]
+    col_keys = [_content_key(I, index_content(C, m), m) for I, C in system.col_labels]
+    rows: dict[int, dict[int, int]] = {}
     for (r, c), v in system.entries.items():
-        by_block.setdefault(col_keys[c], {}).setdefault(r, {})[c] = v
-    if sum(map(len, by_block.values())) != len({r for r, _ in system.entries}):
-        raise ValueError("row crosses block boundary")
-    return sum(len(echelon(by_block[key].values())) for key in sorted(by_block))
+        rows.setdefault(r, {})[c] = v
+    blocks = _split_blocks(col_keys, rows.values())
+    return sum(len(echelon(block_rows)) for _, block_rows in blocks.values())
 
 
 def full_rank_check(j: int, k: int, s: int, signature: Signature) -> RankReport:

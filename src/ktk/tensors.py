@@ -366,41 +366,41 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
 
 
-def _projection_factors(rank: int, sig: Signature) -> tuple[dict, list, int, list]:
-    """(tr_of, outer_of, d, dinv): the factors of P = 1 - outer . M^-1 . tr, M = tr . outer.
+def _projection_factors(rank: int, sig: Signature) -> tuple[list, int, list]:
+    """(outer_of, d, dinv): the factors of P = 1 - outer . M^-1 . tr, M = tr . outer.
 
     P is the traceless projector on rank-`rank` coefficient tensors, outer is
-    `metric_outer` and tr is `trace`; these factors are the one form in which
-    P is kept, and no column of P is built.  tr[t][K] and outer[K][t] are
-    nonzero only for K = sort(T_t + (a, a)), T_t the rank-(rank-2) indices:
-    tr_of[K] lists those (t, g_aa), outer_of[t] those (K, outer[K][t]).  Row
-    r of dinv lists the nonzero (t, d M^-1[r][t]) for the least d that makes
-    them integers, so d * P is integral too.
+    `metric_outer` and tr is `trace` (`_trace_scaled`); these factors are the
+    one form in which P is kept, and no column of P is built.  outer[K][t] is
+    nonzero only for K = sort(T_t + (a, a)), T_t the t-th rank-(rank-2)
+    index, and outer_of[t] lists those (K, outer[K][t]).  Row r of dinv
+    lists the nonzero (T_t, d M^-1[r][t]) for the least d that makes them
+    integers, so d * P is integral too.
     """
     key = (rank, sig)
     cached = _FACTOR_CACHE.get(key)
     if cached is None:
-        tr_of: dict[SymMultiIndex, list[tuple[int, int]]] = {}
+        indices = enumerate_indices(rank - 2, sig.m)
         outer_of = []
-        for t, T in enumerate(enumerate_indices(rank - 2, sig.m)):
+        columns: dict[SymMultiIndex, dict[int, int]] = {}  # outer's, for M = tr . outer
+        for t, T in enumerate(indices):
             pairs = []
             for a in range(1, sig.m + 1):
                 K = tuple(sorted(T + (a, a)))
-                tr_of.setdefault(K, []).append((t, sig.g(a)))
-                pairs.append((K, comb(K.count(a), 2) * sig.g(a)))
+                w = comb(K.count(a), 2) * sig.g(a)
+                pairs.append((K, w))
+                columns.setdefault(K, {})[t] = w
             outer_of.append(pairs)
-        composed = [[0] * len(outer_of) for _ in outer_of]
-        for c, pairs in enumerate(outer_of):
-            for K, w in pairs:
-                for r, g in tr_of[K]:
-                    composed[r][c] += g * w
-        inv = _invert(composed)
+        composed = _trace_scaled(columns, sig)
+        inv = _invert(
+            [[composed.get(T, {}).get(t, 0) for t in range(len(indices))] for T in indices]
+        )
         d = lcm(*(v.denominator for row in inv for v in row))
         dinv = [
-            [(t, v.numerator * (d // v.denominator)) for t, v in enumerate(row) if v]
+            [(T, v.numerator * (d // v.denominator)) for T, v in zip(indices, row) if v]
             for row in inv
         ]
-        cached = _FACTOR_CACHE[key] = (tr_of, outer_of, d, dinv)
+        cached = _FACTOR_CACHE[key] = (outer_of, d, dinv)
     return cached
 
 
@@ -409,20 +409,14 @@ def _project_scaled(
 ) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
     """(d, d * P applied to the integer components R), by sorted index: d * R
     - outer(dinv . tr R), from `_projection_factors`.  The inner keys of R are
-    opaque: monomials for a field, unknown ids for the solver's ansatz rows."""
-    tr_of, outer_of, d, dinv = _projection_factors(rank, sig)
-    traces: dict[int, dict[tuple, int]] = {}
-    out: dict[SymMultiIndex, dict[tuple, int]] = {}
-    for K, terms in comps.items():
-        out[K] = {mono: d * c for mono, c in terms.items()}
-        for t, g in tr_of.get(K, ()):
-            acc = traces.setdefault(t, {})
-            for mono, c in terms.items():
-                acc[mono] = acc.get(mono, 0) + g * c
+    opaque: monomials for a field, monomial id * N + n for N merged fields."""
+    outer_of, d, dinv = _projection_factors(rank, sig)
+    traces = _trace_scaled(comps, sig)
+    out = {K: {mono: d * c for mono, c in terms.items()} for K, terms in comps.items()}
     for row, pairs in zip(dinv, outer_of):
         corr: dict[tuple, int] = {}
-        for t, v in row:
-            for mono, c in traces.get(t, {}).items():
+        for T, v in row:
+            for mono, c in traces.get(T, {}).items():
                 corr[mono] = corr.get(mono, 0) + v * c
         corr = {mono: c for mono, c in corr.items() if c}
         if corr:

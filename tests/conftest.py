@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from ktk import (
     DefiningSystem,
@@ -15,8 +15,10 @@ from ktk import (
     enumerate_indices,
     killing_residual,
 )
+from ktk.equations import residual_terms
+from ktk.exactalg import monomials_upto
 from ktk.solver import _unknown_items, independent_subset
-from ktk.tensors import _invert
+from ktk.tensors import _invert, _project_scaled
 
 EUCLID = {m: Signature(m, 0) for m in (1, 2, 3, 4)}
 
@@ -160,3 +162,50 @@ def verify_basis_per_element(basis) -> list[str]:
                 "lies in the span of the elements before it"
             )
     return problems
+
+
+def reference_residual_rows(spec, labels_pos: dict) -> dict:
+    """Integer rows of the order-s residual, keyed (residual index, monomial),
+    built term by term from `residual_terms`: the reference for the ordinary
+    ansatz rows.  Rows come in the order the unknowns first meet them."""
+    m = spec.signature.m
+    rows: dict[tuple, dict[int, int]] = {}
+    for (I, mono), u in labels_pos.items():
+        for K, beta, factor in residual_terms(I, mono, spec.s, m):
+            row = rows.setdefault((K, beta), {})
+            row[u] = row.get(u, 0) + factor
+    return rows
+
+
+def reference_conformal_rows(spec, max_degree: int, labels_pos: dict) -> dict:
+    """Traceless-residual rows plus trace-side-constraint rows, all integer:
+    the reference for the conformal ansatz rows.
+
+    The residual rows of one monomial beta form a rank-(j+s) tensor whose
+    entries are rows keyed by unknown; `_project_scaled` applies d times the
+    traceless projector to it, and each projected row is divided by the gcd
+    of d and its entries.  Rows come out by beta, then by index, and the
+    trace rows, by rank-(j-2) index and then monomial, after them.
+    """
+    sig = spec.signature
+    m = sig.m
+    rows = reference_residual_rows(spec, labels_pos)
+    if spec.j + spec.s >= 2:
+        by_beta: dict[tuple, dict] = {}
+        for (K, beta), row in rows.items():
+            by_beta.setdefault(beta, {})[K] = row
+        rows = {}
+        for beta, krows in by_beta.items():
+            d, projected = _project_scaled(krows, spec.j + spec.s, sig)
+            for K, row in projected.items():
+                g = gcd(d, *row.values())
+                rows[(K, beta)] = {u: c // g for u, c in row.items() if c}
+    if spec.j >= 2:
+        for T0 in enumerate_indices(spec.j - 2, m):
+            for mono in monomials_upto(m, max_degree):
+                row: dict[int, int] = {}
+                for a in range(1, m + 1):
+                    u = labels_pos[(tuple(sorted(T0 + (a, a))), mono)]
+                    row[u] = row.get(u, 0) + sig.g(a)
+                rows[("trace", T0, mono)] = {u: v for u, v in row.items() if v}
+    return rows

@@ -108,6 +108,32 @@ def test_invalid_signature_is_config_error(capsys, command, flags):
     assert "invalid signature" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["count", "basis", "verify"])
+def test_unwritable_output_is_config_error(capsys, tmp_path, command, fmt):
+    """A report path in a missing directory ends in exit 2 and one error line
+    on stderr (a JSON object under --format json), not a traceback."""
+    argv = {
+        "count": ["count", "--m", "3", "--kind", "ordinary", "--rank", "2"],
+        "basis": ["basis", "--m", "2", "--kind", "ordinary", "--rank", "1"],
+        "verify": ["verify", str(tmp_path / "b.json")],
+    }[command]
+    if command == "verify":
+        code, _, _ = run(
+            capsys, "basis", "--m", "2", "--kind", "ordinary", "--rank", "1",
+            "--format", "json", "--output", str(tmp_path / "b.json"),
+        )
+        assert code == 0
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"] if fmt == "json" else err.removeprefix("error: ")
+    assert message != err and message.startswith(f"cannot write report to {str(target)!r}")
+    assert not target.parent.exists()
+
+
 class TestBasis:
     def test_plane_isometries_json(self, capsys):
         code, out, _ = run(

@@ -26,8 +26,7 @@ from ktk.equations import residual_terms
 from ktk.tensors import enumerate_indices
 from ktk.solver import (
     AnsatzSpec,
-    _conformal_rows,
-    _residual_rows,
+    _ansatz_rows,
     field_vector,
     unknown_labels,
 )
@@ -350,8 +349,8 @@ class TestStencilConsumers:
         degree = 2
         labels = unknown_labels(j, sig.m, degree)
         pos = {lab: n for n, lab in enumerate(labels)}
-        ordinary = _residual_rows(AnsatzSpec("ordinary", j, s, sig), pos)
-        conformal = _conformal_rows(AnsatzSpec("conformal", j, s, sig, degree), degree, pos)
+        ordinary = _ansatz_rows(AnsatzSpec("ordinary", j, s, sig), labels)
+        conformal = _ansatz_rows(AnsatzSpec("conformal", j, s, sig, degree), labels)
         projected = {k: r for k, r in conformal.items() if k[0] != "trace"}
         traced = {k[1:]: r for k, r in conformal.items() if k[0] == "trace"}
         scales = _row_scales(j, s, sig, labels)

@@ -47,6 +47,10 @@ def fixed_rank4_field() -> SymTensorField:
 BASES = {
     ("conformal", 2, 2, 2, 1): "629d7f64139fd775b944f084bba86c2b7e50a0f4886b2d5893c3df986458b624",
     ("ordinary", 3, 2, 1, 3): "12b1cdd12929c0bab38f80fd738275cf5a7809dad4487df4e1176fb2b001e177",
+    ("ordinary", 5, 1, 1, 3): "bff5cb586c8cb067a2b4d4cd571f3a4b900533e7c4a09bae3f51ee7f36694650",
+    ("ordinary", 2, 3, 2, 2): "f87a175f45272c092681dbd2d28701c158dcd05c2c1971fcd47f86f5fa127117",
+    ("ordinary", 4, 1, 3, 0): "b075a699aab2e4c76486cca512ecc4eae5577a2b26fb347a3583ad5947db0fc5",
+    ("conformal", 1, 2, 2, 1): "2309e91c65331fcc1775e6ad91f4b990ee044a97acb2ef74606486f93acd8c49",
 }
 
 PROLONGED = {

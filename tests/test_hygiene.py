@@ -4,11 +4,14 @@ so it is left out of that check.  No module in src/ktk, __init__ included,
 has an `assert` statement: `python -O` strips them, so no invariant may rest
 on one.  No module-level private name in src/ktk is left without a reader
 in src/ktk: tests alone do not keep code alive.  A CLI start imports every
-ktk module and none of the modules that `dataclasses` would pull in."""
+ktk module and none of the modules that `dataclasses` would pull in.  Every
+module parses as Python 3.10, the floor `pyproject.toml` declares, and the
+CLI runs on a python3.10 when one is on PATH."""
 
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -163,3 +166,30 @@ def test_cli_start_imports_no_dataclasses():
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
     ktk_modules = {f"ktk.{p.stem}" for p in MODULES} - {"ktk.cli"}
     assert len(ktk_modules) == 6 and ktk_modules <= loaded
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_modules_parse_as_python_3_10(path):
+    """pyproject.toml declares requires-python >= 3.10, so no module may use
+    syntax that 3.10 lacks."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_solves_on_python_3_10():
+    """A count with --solve, which runs the solver end to end, on a real
+    3.10 interpreter; skipped when no python3.10 on PATH starts."""
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True
+    )
+    if not probe or probe.returncode or probe.stdout.strip() != "(3, 10)":
+        pytest.skip("no working python3.10 on PATH")
+    argv = ["count", "--kind", "conformal", "--rank", "2", "--p", "1", "--q", "3", "--solve"]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([exe, "-m", "ktk.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "count[conformal, m=4, j=2, s=1] = 84",
+        "solver dimension = 84",
+        "match",
+    ]

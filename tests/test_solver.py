@@ -27,8 +27,7 @@ from ktk import (
 from ktk.exactalg import clear_row
 from ktk.solver import (
     AnsatzSpec,
-    _conformal_rows,
-    _residual_rows,
+    _ansatz_rows,
     field_vector,
     in_rational_span,
     independent_subset,
@@ -46,6 +45,8 @@ from conftest import (
     M4_SIGS,
     SIGS_BY_M,
     projection_columns,
+    reference_conformal_rows,
+    reference_residual_rows,
     verify_basis_per_element,
 )
 
@@ -238,7 +239,7 @@ def reference_projected_rows(spec: AnsatzSpec, pos: dict) -> dict:
     columns, in order of monomial then index, each cleared to integers."""
     columns = projection_columns(spec.j + spec.s, spec.signature)
     by_beta: dict = {}
-    for (K, beta), row in _residual_rows(spec, pos).items():
+    for (K, beta), row in reference_residual_rows(spec, pos).items():
         by_beta.setdefault(beta, {})[K] = row
     out = {}
     for beta, krows in by_beta.items():
@@ -266,15 +267,48 @@ def test_conformal_rows_equal_cleared_dense_projection(j, s, sig):
     """The integer ansatz rows projected through the factors are, key for key
     and in order, the rows the dense projector columns give once cleared."""
     spec = AnsatzSpec("conformal", j, s, sig)
-    degree = spec.resolved_degree()
-    pos = {lab: n for n, lab in enumerate(unknown_labels(j, sig.m, degree))}
-    rows = _conformal_rows(spec, degree, pos)
+    labels = unknown_labels(j, sig.m, spec.resolved_degree())
+    pos = {lab: n for n, lab in enumerate(labels)}
+    rows = _ansatz_rows(spec, labels)
     expect = reference_projected_rows(spec, pos)
     got = {key: row for key, row in rows.items() if key[0] != "trace"}
     assert list(got) == list(expect)
     assert got == expect
     assert list(rows)[: len(got)] == list(got)
     assert all(type(c) is int for row in rows.values() for c in row.values())
+
+
+@pytest.mark.parametrize(
+    "kind, j, s, sig, degree",
+    [
+        (kind, j, s, Signature(p, q), None)
+        for kind in ("ordinary", "conformal")
+        for p, q in ((3, 0), (2, 1), (2, 2), (1, 3))
+        for j in range(4)
+        for s in (1, 2)
+    ]
+    + [("conformal", j, s, Signature(1, 1), 3) for j in range(3) for s in (1, 2)],
+    ids=str,
+)
+def test_ansatz_rows_equal_reference_builders(kind, j, s, sig, degree):
+    """The rows of the merged residual pass equal, key for key, the rows built
+    term by term (ordinary) or by per-monomial projection plus hand-made trace
+    rows (conformal); for the conformal kind the key order is the same too,
+    so the elimination sees the same rows in the same order.  The one
+    exception is j = 0, s = 1: there the traceless residual is the plain one,
+    whose reference rows come in the order the unknowns first meet them."""
+    spec = AnsatzSpec(kind, j, s, sig, degree)
+    degree = spec.resolved_degree()
+    labels = unknown_labels(j, sig.m, degree)
+    pos = {lab: n for n, lab in enumerate(labels)}
+    rows = _ansatz_rows(spec, labels)
+    if kind == "ordinary":
+        assert rows == reference_residual_rows(spec, pos)
+    else:
+        expect = reference_conformal_rows(spec, degree, pos)
+        assert rows == expect
+        if j + s >= 2:
+            assert list(rows) == list(expect)
 
 
 class TestSolveBasis:
