@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
+from math import comb
 
 from .constructors import KINDS, count
 from .operators import (
@@ -28,6 +31,13 @@ class ConfigError(Exception):
     pass
 
 
+# The default of --max-unknowns.  The largest ansatz of the paper's tables
+# (p + q <= 4), conformal j = 4 on m = 4, has 17 325 unknowns; ordinary
+# j = 4 on m = 12 has 2 484 300 and, unchecked, ran for more than 15 s
+# before it had built its monomial list.
+MAX_UNKNOWNS = 20_000
+
+
 def _signature(args) -> Signature:
     if args.m is not None:
         if args.p is not None or args.q is not None:
@@ -42,16 +52,55 @@ def _signature(args) -> Signature:
         raise ConfigError(f"{exc}: need p, q >= 0 and p + q >= 1 (use --p/--q or --m)")
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text
+# Encoder chunks joined into one write.  The pure-Python encoder yields a
+# few bytes per chunk, so a write is about 9 KB, and no report is held whole:
+# whole, the 3.4 MB conformal j=3 (1,3) basis took `basis` from 27 to 49 MiB.
+_BATCH = 1024
+
+
+def _report(args, payload: dict | None, lines):
+    """The report in order, as pieces to write: the JSON document (the bytes
+    of `json.dumps(payload, indent=2)` and a newline) or each text line."""
+    if args.format == "text":
+        for line in lines:
+            yield line + "\n"
+        return
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, _BATCH)):
+        yield batch
+    yield "\n"
+
+
+def _emit(args, payload: dict | None, lines) -> None:
+    """Write the report to --output or stdout; `payload` is the JSON report
+    and `lines` the text one.  A failed write is a ConfigError."""
+    pieces = _report(args, payload, lines)
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(body)
+                for piece in pieces:
+                    fh.write(piece)
         except OSError as exc:
             raise ConfigError(f"cannot write report to {args.output!r}: {exc}")
-    else:
-        sys.stdout.write(body)
+        return
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is still buffered would fail again when the interpreter flushes
+        # stdout at exit, with a second report; it goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError(f"cannot write report to stdout: {exc}")
+
+
+def _add_max_unknowns(sub):
+    sub.add_argument(
+        "--max-unknowns", type=int, default=MAX_UNKNOWNS,
+        help=f"refuse an ansatz with more unknowns than this (default {MAX_UNKNOWNS})",
+    )
 
 
 def _add_common(sub, signature=True):
@@ -76,6 +125,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--order", type=int, default=1, help="order s of the defining system")
     c.add_argument("--solve", action="store_true", help="also run the solver and compare")
     c.add_argument("--max-degree", type=int, default=None)
+    _add_max_unknowns(c)
     _add_common(c)
 
     b = subs.add_parser("basis", help="solve for a complete basis, emit Basis JSON")
@@ -83,6 +133,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--rank", type=int, required=True)
     b.add_argument("--order", type=int, default=1)
     b.add_argument("--max-degree", type=int, default=None)
+    _add_max_unknowns(b)
     _add_common(b)
 
     v = subs.add_parser("verify", help="re-check residuals/independence of a Basis JSON")
@@ -103,6 +154,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solve(args, sig: Signature) -> Basis:
+    """`solve_basis` for the command's ansatz, refused before assembly when it
+    has more unknowns than --max-unknowns."""
+    try:
+        spec = AnsatzSpec(args.kind, args.rank, args.order, sig, args.max_degree)
+        # len(unknown_labels(j, m, degree)): rank-j indices times monomials
+        unknowns = comb(spec.j + sig.m - 1, spec.j) * comb(spec.resolved_degree() + sig.m, sig.m)
+        if unknowns > args.max_unknowns:
+            raise ConfigError(
+                f"the ansatz has {unknowns} unknowns, more than the cap of "
+                f"{args.max_unknowns}; raise it with --max-unknowns"
+            )
+        return solve_basis(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _run_count(args) -> int:
     sig = _signature(args)
     try:
@@ -121,41 +189,28 @@ def _run_count(args) -> int:
     if args.solve:
         if args.kind not in ("ordinary", "conformal"):
             raise ConfigError("--solve applies to ordinary/conformal kinds only")
-        try:
-            basis = solve_basis(
-                AnsatzSpec(args.kind, args.rank, args.order, sig, args.max_degree)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        basis = _solve(args, sig)
         payload["solved"] = len(basis)
         payload["match"] = len(basis) == value
         lines.append(f"solver dimension = {len(basis)}")
         lines.append("match" if payload["match"] else "MISMATCH")
         if not payload["match"]:
             status = 1
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, lines)
     return status
 
 
 def _run_basis(args) -> int:
     sig = _signature(args)
-    try:
-        spec = AnsatzSpec(args.kind, args.rank, args.order, sig, args.max_degree)
-        basis = solve_basis(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    payload = basis.to_json()
-    text = (
+    basis = _solve(args, sig)
+    header = (
         f"{basis.kind} basis: j={basis.j} s={basis.s} signature=({sig.p},{sig.q}) "
-        f"degree<={basis.degree_bound}: {len(basis)} elements\n"
+        f"degree<={basis.degree_bound}: {len(basis)} elements"
     )
-    if args.format == "text":
-        # a readable listing is still JSON per element, one per line
-        text += "\n".join(
-            json.dumps(el.to_json()) for el in basis.elements
-        )
-        text += "\n" if basis.elements else ""
-    _emit(args, payload, text)
+    # a readable listing is still JSON per element, one per line
+    elements = (json.dumps(el.to_json()) for el in basis.elements)
+    payload = basis.to_json() if args.format == "json" else None
+    _emit(args, payload, chain([header], elements))
     return 0
 
 
@@ -194,7 +249,7 @@ def _run_verify(args) -> int:
     }
     lines = [f"{len(basis)} elements: " + ("all checks passed" if not problems else "FAILED")]
     lines.extend(problems)
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, lines)
     for p in problems:
         print(p, file=sys.stderr)
     return 0 if not problems else 1
@@ -245,7 +300,7 @@ def _run_op_check(args) -> int:
         for r in results
     ]
     lines.append("all pass" if ok else "FAILED")
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
@@ -258,9 +313,9 @@ def _run_prolong_rank(args) -> int:
     text = (
         f"prolonged system j={args.rank} k={args.k} s={args.order} "
         f"signature=({sig.p},{sig.q}): {report.n_e} equations, {report.n_u} unknowns, "
-        f"rank {report.rank} ({'full' if report.full_row_rank else 'NOT full'} row rank)\n"
+        f"rank {report.rank} ({'full' if report.full_row_rank else 'NOT full'} row rank)"
     )
-    _emit(args, payload, text)
+    _emit(args, payload, [text])
     return 0 if report.full_row_rank else 1
 
 

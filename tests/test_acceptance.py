@@ -362,19 +362,20 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
         failures.append("library artifacts differ between runs")
 
     # The child runs the checkout this test file belongs to, from wherever
-    # pytest was started; its env holds only PATH, PYTHONPATH and KTK_THREADS.
+    # pytest was started; its env holds only PATH and PYTHONPATH.
     root = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
     )
 
-    def cli_fingerprint(threads):
-        env = {"KTK_THREADS": str(threads), "PATH": "/usr/bin:/bin",
-               "PYTHONPATH": pythonpath}
+    def cli_fingerprint():
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
         blob = b""
         for argv in (
             ["basis", "--p", "1", "--q", "2", "--rank", "2", "--kind", "ordinary",
              "--format", "json"],
+            ["basis", "--p", "1", "--q", "2", "--rank", "2", "--kind", "ordinary",
+             "--format", "text"],
             ["count", "--m", "3", "--kind", "conformal", "--rank", "2", "--format", "json"],
             ["prolong-rank", "--p", "2", "--q", "1", "--rank", "2", "--k", "1",
              "--format", "json"],
@@ -385,13 +386,10 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
             )
             if proc.returncode != 0:
                 tail = proc.stderr.decode(errors="replace").strip().splitlines()[-5:]
-                failures.append(
-                    f"cli {argv[0]} (KTK_THREADS={threads}) exited {proc.returncode}: "
-                    + " | ".join(tail)
-                )
+                failures.append(f"cli {argv[0]} exited {proc.returncode}: " + " | ".join(tail))
             blob += proc.stdout
         return hashlib.sha256(blob).hexdigest()
 
-    if cli_fingerprint(1) != cli_fingerprint(4):
-        failures.append("CLI artifacts depend on the run or the thread budget")
+    if cli_fingerprint() != cli_fingerprint():
+        failures.append("CLI artifacts differ between runs")
     _criterion(10, "repeated runs emit byte-identical JSON artifacts", failures)

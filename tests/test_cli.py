@@ -2,23 +2,31 @@
 
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktk import AnsatzSpec, Poly, Signature, WeylOp, solve_basis
+from ktk import AnsatzSpec, Poly, Signature, WeylOp, cli, solve_basis
 from ktk.cli import main
 from ktk.equations import ProlongedSystem, prolong
-from ktk.operators import build_symmetry_operator
-from ktk.tensors import SymTensorField
+from ktk.operators import (
+    build_symmetry_operator,
+    check_symmetry,
+    conformal_symmetry_operator,
+    kgf,
+)
+from ktk.solver import full_rank_check, unknown_labels, verify_basis
+from ktk.tensors import Basis, SymTensorField
 
 
 def run(capsys, *argv):
@@ -132,6 +140,188 @@ def test_unwritable_output_is_config_error(capsys, tmp_path, command, fmt):
     message = json.loads(err)["error"] if fmt == "json" else err.removeprefix("error: ")
     assert message != err and message.startswith(f"cannot write report to {str(target)!r}")
     assert not target.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["count", "basis"])
+def test_unwritable_stdout_is_config_error(command, fmt):
+    """A stdout that refuses every write ends in exit 2 and one error line on
+    stderr (a JSON object under --format json): no traceback, and nothing
+    left to fail again when the interpreter flushes stdout at exit."""
+    argv = {
+        "count": ["count", "--kind", "ordinary", "--rank", "2", "--m", "3"],
+        "basis": ["basis", "--kind", "conformal", "--rank", "2", "--p", "1", "--q", "3"],
+    }[command]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ktk.cli", *argv, "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    err = proc.stderr.strip()
+    message = json.loads(err)["error"] if fmt == "json" else err.removeprefix("error: ")
+    assert message != err and message.startswith("cannot write report to stdout: ")
+
+
+class _Stub:
+    """Stands in for `solve_basis` in the size-guard tests: records each spec
+    and returns an empty basis."""
+
+    def __init__(self):
+        self.specs = []
+
+    def __call__(self, spec):
+        self.specs.append(spec)
+        return Basis(spec.kind, spec.j, spec.s, spec.signature, [], spec.resolved_degree())
+
+
+class TestSizeGuard:
+    """`basis` and `count --solve` refuse an ansatz above --max-unknowns
+    before they assemble it, and print the exact unknown count."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        stub = _Stub()
+        monkeypatch.setattr(cli, "solve_basis", stub)
+        return stub
+
+    @pytest.mark.parametrize("command", [["basis"], ["count", "--solve"]], ids=" ".join)
+    def test_both_sides_of_the_cap(self, capsys, stub, command):
+        argv = [*command, "--kind", "conformal", "--rank", "4", "--p", "1", "--q", "3",
+                "--format", "json"]
+        code, out, err = run(capsys, *argv, "--max-unknowns", "17324")
+        assert code == 2 and out == "" and not stub.specs
+        assert json.loads(err)["error"].startswith("the ansatz has 17325 unknowns")
+        code, out, _ = run(capsys, *argv, "--max-unknowns", "17325")
+        assert code in (0, 1) and len(stub.specs) == 1
+        # the default cap admits the largest system of the paper's tables
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and len(stub.specs) == 2
+
+    def test_default_cap_refuses_a_huge_ansatz(self, capsys, stub):
+        code, out, err = run(capsys, "basis", "--kind", "ordinary", "--rank", "4", "--m", "12")
+        assert code == 2 and out == "" and not stub.specs
+        assert err.startswith("error: the ansatz has 2484300 unknowns")
+
+    @pytest.mark.parametrize(
+        "kind, j, s, p, q, degree",
+        [("ordinary", 0, 1, 1, 0, None), ("ordinary", 2, 3, 2, 1, None),
+         ("conformal", 3, 1, 1, 3, None), ("conformal", 1, 2, 2, 0, 3),
+         ("ordinary", 5, 1, 3, 0, 2)],
+    )
+    def test_estimate_is_the_unknown_count(self, capsys, stub, kind, j, s, p, q, degree):
+        argv = ["basis", "--kind", kind, "--rank", str(j), "--order", str(s),
+                "--p", str(p), "--q", str(q), "--max-unknowns", "0"]
+        if degree is not None:
+            argv += ["--max-degree", str(degree)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and not stub.specs
+        spec = AnsatzSpec(kind, j, s, Signature(p, q), degree)
+        labels = unknown_labels(j, p + q, spec.resolved_degree())
+        assert err.startswith(f"error: the ansatz has {len(labels)} unknowns")
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that keeps only the size of each write and a digest of all."""
+
+    def __init__(self):
+        self.sizes = []
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        self.digest.update(text.encode())
+        return len(text)
+
+
+class TestStreamedReport:
+    """Reports are written in pieces, with the bytes of the whole document."""
+
+    @staticmethod
+    def _basis_file(tmp_path, kind, j, sig):
+        path = tmp_path / f"{kind}-{j}.json"
+        path.write_text(json.dumps(solve_basis(AnsatzSpec(kind, j, 1, sig)).to_json()))
+        return path
+
+    @pytest.mark.parametrize(
+        "command", ["basis-json", "basis-text", "verify", "op-check", "count", "prolong-rank"]
+    )
+    def test_bytes_of_the_whole_report(self, capsys, tmp_path, command):
+        sig = Signature(2, 1)
+        if command.startswith("basis"):
+            fmt = command.removeprefix("basis-")
+            argv = ["basis", "--kind", "conformal", "--rank", "1", "--p", "2", "--q", "1",
+                    "--format", fmt]
+            basis = solve_basis(AnsatzSpec("conformal", 1, 1, sig))
+            if fmt == "json":
+                want = json.dumps(basis.to_json(), indent=2) + "\n"
+            else:
+                want = f"conformal basis: j=1 s=1 signature=(2,1) degree<=2: {len(basis)} elements\n"
+                want += "".join(json.dumps(el.to_json()) + "\n" for el in basis.elements)
+        elif command == "verify":
+            path = self._basis_file(tmp_path, "conformal", 2, sig)
+            argv = ["verify", str(path), "--format", "json"]
+            basis = Basis.from_json(json.loads(path.read_text()))
+            payload = {"kind": "conformal", "j": 2, "s": 1, "signature": [2, 1],
+                       "count": len(basis), "ok": True, "problems": verify_basis(basis)}
+            want = json.dumps(payload, indent=2) + "\n"
+        elif command == "op-check":
+            path = self._basis_file(tmp_path, "conformal", 1, sig)
+            argv = ["op-check", str(path), "--kappa2", "0", "--format", "json"]
+            basis = Basis.from_json(json.loads(path.read_text()))
+            L = kgf(sig, 0)
+            reports = [check_symmetry(conformal_symmetry_operator(F), L) for F in basis.elements]
+            results = [{"element": n, "is_symmetry": r.is_symmetry, "alpha": r.alpha.to_json()}
+                       for n, r in enumerate(reports)]
+            payload = {"kind": "conformal", "kappa2": "0", "count": len(basis),
+                       "all_pass": True, "results": results}
+            want = json.dumps(payload, indent=2) + "\n"
+        elif command == "count":
+            argv = ["count", "--kind", "ordinary", "--rank", "2", "--p", "2", "--q", "1",
+                    "--solve", "--format", "json"]
+            payload = {"kind": "ordinary", "m": 3, "j": 2, "s": 1, "count": 20,
+                       "solved": 20, "match": True}
+            want = json.dumps(payload, indent=2) + "\n"
+        else:
+            argv = ["prolong-rank", "--rank", "2", "--k", "1", "--p", "2", "--q", "1",
+                    "--format", "json"]
+            want = json.dumps(full_rank_check(2, 1, 1, sig).to_json(), indent=2) + "\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == want
+        target = tmp_path / "report"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == want
+
+    def test_memory_is_bounded(self, monkeypatch):
+        """The conformal j=2 (1,3) basis document is 283 KB.  No write holds
+        half of it, and neither does the memory `_emit` allocates."""
+        spec = AnsatzSpec("conformal", 2, 1, Signature(1, 3))
+        body = json.dumps(solve_basis(spec).to_json(), indent=2) + "\n"
+        emit, peaks = cli._emit, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                emit(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        sink = _Sink()
+        monkeypatch.setattr(cli, "_emit", traced)
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["basis", "--kind", "conformal", "--rank", "2", "--p", "1", "--q", "3",
+                     "--format", "json"])
+        monkeypatch.undo()
+        assert code == 0
+        assert sink.digest.hexdigest() == hashlib.sha256(body.encode()).hexdigest()
+        assert sum(sink.sizes) == len(body) > 250_000
+        assert max(sink.sizes) < len(body) // 2
+        assert len(peaks) == 1 and peaks[0] < len(body) // 2
 
 
 class TestBasis:
