@@ -37,26 +37,23 @@ from .tensors import (
 
 
 @functools.cache
-def stencil(j: int, s: int, m: int) -> dict[SymMultiIndex, tuple]:
-    """The order-s residual stencil: rank-j index I -> ((D, K, weight), ...).
+def stencil(I: SymMultiIndex, s: int, m: int) -> tuple:
+    """The order-s residual stencil of the index I: ((D, K, weight), ...).
 
     D runs over the size-s derivative multi-indices in lexicographic order,
     K = sort(I + D) is the residual index, and weight counts the position
     sets of K that carry D: residual[K] = sum of weight * d^D F[I].
     """
-    out = {}
-    for I in enumerate_indices(j, m):
-        entries = []
-        for D in enumerate_indices(s, m):
-            K = tuple(sorted(I + D))
-            entries.append((D, K, prod(comb(K.count(a), D.count(a)) for a in set(D))))
-        out[I] = tuple(entries)
-    return out
+    entries = []
+    for D in enumerate_indices(s, m):
+        K = tuple(sorted(I + D))
+        entries.append((D, K, prod(comb(K.count(a), D.count(a)) for a in set(D))))
+    return tuple(entries)
 
 
 def residual_terms(I: SymMultiIndex, mono: tuple, s: int, m: int):
     """Terms (K, beta, factor) of the order-s residual of the unit field x^mono at I."""
-    for D, K, weight in stencil(len(I), s, m)[I]:
+    for D, K, weight in stencil(I, s, m):
         exps = list(mono)
         factor = weight
         for a in D:
@@ -88,7 +85,7 @@ def _killing_scaled(
     derivs: dict[int, list] = {}
     out: dict[SymMultiIndex, dict[int, int]] = {}
     for idx, terms in comps.items():
-        entries = stencil(len(idx), s, m)[idx]
+        entries = stencil(idx, s, m)
         targets = [(out.setdefault(K, {}), weight) for _, K, weight in entries]
         for key, c in terms.items():
             i = key // n_fields
@@ -255,8 +252,8 @@ def prolong(j: int, k: int, s: int, signature: Signature) -> ProlongedSystem:
     row_pos = {label: r for r, label in enumerate(row_labels)}
     col_pos = {label: c for c, label in enumerate(col_labels)}
     entries: dict[tuple[int, int], int] = {}
-    for I, terms in stencil(j, s, m).items():
-        for D, K, weight in terms:
+    for I in enumerate_indices(j, m):
+        for D, K, weight in stencil(I, s, m):
             for B in extra_indices:
                 entries[(row_pos[(K, B)], col_pos[(I, tuple(sorted(D + B)))])] = weight
     system = ProlongedSystem(j, k, s, signature, row_labels, col_labels, entries)

@@ -346,9 +346,9 @@ def _json_fraction(num, den, seen: dict | None = None) -> Fraction:
 def monomials_upto(m: int, degree: int) -> list[Monomial]:
     """All exponent tuples of total degree <= degree, graded-lex order."""
     out = [
-        exps
-        for exps in itertools.product(range(degree + 1), repeat=m)
-        if sum(exps) <= degree
+        tuple(axes.count(a) for a in range(m))
+        for n in range(degree + 1)
+        for axes in itertools.combinations_with_replacement(range(m), n)
     ]
     out.sort(key=grlex_key)
     return out

@@ -17,9 +17,19 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exactalg import Poly, Terms, _as_fraction, _json_monomial, grlex_key, monomials_upto
+from .exactalg import (
+    Poly,
+    Terms,
+    _as_fraction,
+    _json_monomial,
+    back_substitute,
+    clear_row,
+    echelon,
+    grlex_key,
+    monomials_upto,
+)
 from .solver import independent_subset, span_dim
-from .tensors import Record, Signature, SymTensorField, _invert
+from .tensors import Record, Signature, SymTensorField
 
 
 def _term_key(key: tuple) -> tuple:
@@ -260,6 +270,18 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
     return SymmetryReport(
         is_symmetry=remainder.is_zero(), alpha=alpha, remainder=remainder
     )
+
+
+def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse: column k is the null vector of [M | -I] with 1 at n + k."""
+    n = len(matrix)
+    pivots = echelon(
+        clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
+    )
+    if [col for col, _ in pivots] != list(range(n)):
+        raise ValueError("matrix is singular")
+    cols = [back_substitute(pivots, {n + k: 1}) for k in range(n)]
+    return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
 
 
 # Completion data per (signature, rank, degree bound).  For each Weyl grade

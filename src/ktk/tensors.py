@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .exactalg import Poly, _json_array, _json_key, back_substitute, clear_row, echelon
+from .exactalg import Poly, _json_array, _json_key
 
 SymMultiIndex = tuple  # non-decreasing tuple of axis labels in 1..m
 
@@ -331,114 +331,68 @@ def trace(F: SymTensorField, pair: tuple[int, int] = (0, 1)) -> SymTensorField:
     return _unscaled(j - 2, F.signature, _trace_scaled(comps, F.signature), scale)
 
 
+def _outer_scaled(comps: Mapping, sig: Signature) -> dict[SymMultiIndex, dict[tuple, int]]:
+    """Integer outer product g (x) T: out[K] sums comb(K.count(a), 2) g_aa T[I]
+    over the axes a with K = sort(I + (a, a)), for the nonzero terms of T."""
+    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    for I, terms in comps.items():
+        if terms := {key: c for key, c in terms.items() if c}:
+            for a in range(1, sig.m + 1):
+                K = tuple(sorted(I + (a, a)))
+                w = comb(K.count(a), 2) * sig.g(a)
+                acc = out.setdefault(K, {})
+                for key, c in terms.items():
+                    acc[key] = acc.get(key, 0) + w * c
+    return out
+
+
 def metric_outer(T: SymTensorField) -> SymTensorField:
     """Symmetrized outer product g (x) T, rank j+2.
 
     Component at K sums g^aa * T[K minus {a,a}] over the distinct unordered
     position pairs of K carrying equal axes, weighted by the pair count.
+    The sums run on T scaled to integers (`_outer_scaled`).
     """
-    sig = T.signature
-    j = T.rank
-    out: dict[SymMultiIndex, Poly] = {}
-    for idx, poly in T.components.items():
-        for a in range(1, sig.m + 1):
-            key = tuple(sorted(idx + (a, a)))
-            weight = comb(key.count(a), 2) * sig.g(a)
-            term = poly.scale(weight)
-            acc = out.get(key)
-            out[key] = term if acc is None else acc + term
-    return SymTensorField(j + 2, sig, out)
-
-
-# The traceless projector as its factors per (rank, signature), for `_project_scaled`.
-_FACTOR_CACHE: dict[tuple[int, Signature], tuple] = {}
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse: column k is the null vector of [M | -I] with 1 at n + k."""
-    n = len(matrix)
-    pivots = echelon(
-        clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
-    )
-    if [col for col, _ in pivots] != list(range(n)):
-        raise ValueError("trace-removal system is singular")
-    cols = [back_substitute(pivots, {n + k: 1}) for k in range(n)]
-    return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
-
-
-def _projection_factors(rank: int, sig: Signature) -> tuple[list, int, list]:
-    """(outer_of, d, dinv): the factors of P = 1 - outer . M^-1 . tr, M = tr . outer.
-
-    P is the traceless projector on rank-`rank` coefficient tensors, outer is
-    `metric_outer` and tr is `trace` (`_trace_scaled`); these factors are the
-    one form in which P is kept, and no column of P is built.  outer[K][t] is
-    nonzero only for K = sort(T_t + (a, a)), T_t the t-th rank-(rank-2)
-    index, and outer_of[t] lists those (K, outer[K][t]).  Row r of dinv
-    lists the nonzero (T_t, d M^-1[r][t]) for the least d that makes them
-    integers, so d * P is integral too.
-    """
-    key = (rank, sig)
-    cached = _FACTOR_CACHE.get(key)
-    if cached is None:
-        indices = enumerate_indices(rank - 2, sig.m)
-        outer_of = []
-        columns: dict[SymMultiIndex, dict[int, int]] = {}  # outer's, for M = tr . outer
-        for t, T in enumerate(indices):
-            pairs = []
-            for a in range(1, sig.m + 1):
-                K = tuple(sorted(T + (a, a)))
-                w = comb(K.count(a), 2) * sig.g(a)
-                pairs.append((K, w))
-                columns.setdefault(K, {})[t] = w
-            outer_of.append(pairs)
-        composed = _trace_scaled(columns, sig)
-        inv = _invert(
-            [[composed.get(T, {}).get(t, 0) for t in range(len(indices))] for T in indices]
-        )
-        d = lcm(*(v.denominator for row in inv for v in row))
-        dinv = [
-            [(T, v.numerator * (d // v.denominator)) for T, v in zip(indices, row) if v]
-            for row in inv
-        ]
-        cached = _FACTOR_CACHE[key] = (outer_of, d, dinv)
-    return cached
+    scale, comps = _scaled(T)
+    return _unscaled(T.rank + 2, T.signature, _outer_scaled(comps, T.signature), scale)
 
 
 def _project_scaled(
     comps: Mapping, rank: int, sig: Signature
 ) -> tuple[int, dict[SymMultiIndex, dict[tuple, int]]]:
-    """(d, d * P applied to the integer components R), by sorted index: d * R
-    - outer(dinv . tr R), from `_projection_factors`.  The inner keys of R are
-    opaque: monomials for a field, monomial id * N + n for N merged fields."""
-    outer_of, d, dinv = _projection_factors(rank, sig)
-    traces = _trace_scaled(comps, sig)
-    out = {K: {mono: d * c for mono, c in terms.items()} for K, terms in comps.items()}
-    for row, pairs in zip(dinv, outer_of):
-        corr: dict[tuple, int] = {}
-        for T, v in row:
-            for mono, c in traces.get(T, {}).items():
-                corr[mono] = corr.get(mono, 0) + v * c
-        corr = {mono: c for mono, c in corr.items() if c}
-        if corr:
-            for K, w in pairs:
-                acc = out.setdefault(K, {})
-                for mono, c in corr.items():
-                    acc[mono] = acc.get(mono, 0) - w * c
+    """(d, d * P applied to the integer components R), by sorted index.
+
+    On rank-r tensors tr . outer - outer . tr = m + 2r, so the traceless
+    projector is P = sum_k a_k outer^k tr^k over k <= r/2, with a_0 = 1 and
+    a_(k+1) = -a_k / ((k + 1)(m + 2r - 2k - 4)), and d is the lcm of the a_k
+    denominators.  With c_k = d a_k this runs Horner-style on integers:
+    c_0 R + outer(c_1 tr R + outer(c_2 tr^2 R + ...)).  The inner keys of R
+    are opaque: monomials for a field, monomial id * N + n for N merged fields.
+    """
+    a, traces = [Fraction(1)], [comps]
+    for k in range(rank // 2):
+        a.append(-a[k] / ((k + 1) * (sig.m + 2 * rank - 2 * k - 4)))
+        traces.append(_trace_scaled(traces[k], sig))
+    d = lcm(*(a_k.denominator for a_k in a))
+    out: dict[SymMultiIndex, dict[tuple, int]] = {}
+    for a_k, tr_k in zip(reversed(a), reversed(traces)):
+        out = _outer_scaled(out, sig)
+        c_k = a_k.numerator * (d // a_k.denominator)
+        for K, terms in tr_k.items():
+            acc = out.setdefault(K, {})
+            for key, c in terms.items():
+                acc[key] = acc.get(key, 0) + c_k * c
     return d, {K: out[K] for K in sorted(out)}
 
 
 def traceless_project(F: SymTensorField) -> SymTensorField:
-    """Traceless part of F: subtract a sym(g (x) T) making every trace vanish.
+    """Traceless part of F: P F, for the traceless projector P in closed form.
 
-    The correction T is the unique solution of trace(F - metric_outer(T)) = 0,
-    so F - metric_outer(T) is the traceless projector P applied to F.  P is
-    kept in one form, its factors (`_projection_factors`), which the solver's
-    ansatz rows share.  It runs on F and those factors (`_project_scaled`)
-    each scaled to integers, and divides back once per nonzero output term.
-    Rank 0 and 1 fields are returned unchanged.
+    F - P F is a sym(g (x) T), and P F has every trace zero.  P runs on F
+    scaled to integers (`_project_scaled`, shared with the residuals and the
+    solver's ansatz rows), and each nonzero output term is divided back once.
+    On rank 0 and 1 fields P is the identity.
     """
-    if F.rank < 2:
-        return F
     scale, comps = _scaled(F)
     den, out = _project_scaled(comps, F.rank, F.signature)
     return _unscaled(F.rank, F.signature, out, scale * den)

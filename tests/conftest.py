@@ -18,7 +18,8 @@ from ktk import (
 from ktk.equations import residual_terms
 from ktk.exactalg import monomials_upto
 from ktk.solver import _unknown_items, independent_subset
-from ktk.tensors import _invert, _project_scaled
+from ktk.operators import _invert
+from ktk.tensors import _project_scaled
 
 EUCLID = {m: Signature(m, 0) for m in (1, 2, 3, 4)}
 
@@ -86,7 +87,7 @@ def residual_of(kind: str, F: SymTensorField, s: int) -> SymTensorField:
 @lru_cache(maxsize=None)
 def projection_columns(rank: int, sig: Signature) -> dict:
     """Sparse columns of the traceless projector on rank-`rank` coefficient tensors,
-    built densely: the reference for the factored projector and the ansatz rows.
+    built densely: the reference for the closed-form projector and the ansatz rows.
 
     P = 1 - outer . (tr . outer)^-1 . tr, where outer is `metric_outer` and tr
     is `trace` on coefficient tensors; the column of index I lists the

@@ -861,6 +861,34 @@ class TestProlongRank:
         assert "rank 3" in out and "full row rank" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "op-check"])
+def test_wide_signature_file_finishes(tmp_path, command):
+    """On signature [48, 0] a file costs what its one element costs: `verify`
+    of a constant rank-3 element inverts no matrix and builds no stencil of
+    all C(50, 3) indices, and `op-check` of x^1 at index (1,) enumerates the
+    C(50, 2) monomials of degree <= 2, not the 3^48 tuples of their box."""
+    sig = Signature(48, 0)
+    if command == "verify":
+        basis = Basis("conformal", 3, 1, sig, [SymTensorField(3, sig, {(1, 2, 3): 1})], 4)
+    else:
+        x1 = SymTensorField(1, sig, {(1,): Poly.variable(1, 48)})
+        basis = Basis("conformal", 1, 1, sig, [x1], 2)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(basis.to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktk.cli", command, str(path), "--format", "json"],
+        capture_output=True, text=True, timeout=10,
+    )
+    if command == "verify":
+        assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "element 0: field does not extend to a symmetry operator"
+        }
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ktk.cli", "count", "--m", "4",

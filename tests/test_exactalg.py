@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic examples, ring axioms, serialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktk import Poly, WeylOp
-from ktk.exactalg import grlex_key
+from ktk.exactalg import grlex_key, monomials_upto
 
 
 def x(axis, dim=2):
@@ -151,3 +152,15 @@ def test_random_eval_cross_check():
         pt = (Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 2))
         assert (a * b).eval(pt) == a.eval(pt) * b.eval(pt)
         assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_monomials_upto_equals_product_oracle(m):
+    """Every exponent tuple of total degree <= degree once, in graded-lex order,
+    as filtering the full product box gives.  The enumerator itself walks only
+    the C(m + degree, m) tuples it returns; `test_wide_signature_file_finishes`
+    in test_cli.py times it on 48 axes."""
+    for degree in range(6):
+        box = itertools.product(range(degree + 1), repeat=m)
+        oracle = sorted((exps for exps in box if sum(exps) <= degree), key=grlex_key)
+        assert monomials_upto(m, degree) == oracle

@@ -30,18 +30,18 @@ def digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fixed_rank4_field() -> SymTensorField:
-    """A dense rank-4 field of degree <= 2 on (1,3), with varied rationals."""
+def fixed_field(rank: int) -> SymTensorField:
+    """A dense field of degree <= 2 on (1,3), with varied rationals."""
     sig = Signature(1, 3)
     comps = {}
-    for k, idx in enumerate(enumerate_indices(4, sig.m)):
+    for k, idx in enumerate(enumerate_indices(rank, sig.m)):
         terms = {}
         for n, exps in enumerate(monomials_upto(sig.m, 2)):
             num = (3 * k + 5 * n) % 7 - 3
             if num:
                 terms[exps] = Fraction(num, 1 + (k + n) % 4)
         comps[idx] = Poly(sig.m, terms)
-    return SymTensorField(4, sig, comps)
+    return SymTensorField(rank, sig, comps)
 
 
 BASES = {
@@ -65,6 +65,12 @@ PROLONGED = {
 
 TRACELESS_RANK4 = "bca190ca417c14e47a78a94825c621bdf95c97b95b876510c46fb257c9f388cb"
 
+# Ranks where the projector's closed form has three and four terms.
+TRACELESS = {
+    5: "7e2567e683a45ea8f85d68033745615286930a1654a5d53612a795451589907b",
+    6: "34e0a342977d9424c8441f48887ee90a10dd383de517a2c83c03663e95209d91",
+}
+
 
 @pytest.mark.parametrize("case", sorted(BASES), ids=str)
 def test_solver_basis(case):
@@ -80,4 +86,9 @@ def test_prolonged_system(case):
 
 
 def test_traceless_projection_rank4():
-    assert digest(traceless_project(fixed_rank4_field()).to_json()) == TRACELESS_RANK4
+    assert digest(traceless_project(fixed_field(4)).to_json()) == TRACELESS_RANK4
+
+
+@pytest.mark.parametrize("rank", sorted(TRACELESS))
+def test_traceless_projection_higher_rank(rank):
+    assert digest(traceless_project(fixed_field(rank)).to_json()) == TRACELESS[rank]

@@ -24,7 +24,7 @@ from ktk import (
     killing_vectors,
     lie_closure_check,
 )
-from ktk.operators import _completion_data, _grade
+from ktk.operators import _completion_data, _grade, _invert
 from ktk.solver import in_rational_span
 
 from conftest import EUCLID, SIGS_BY_M, solution_family
@@ -410,6 +410,14 @@ class TestCompletionOracle:
         basis = solution_family("conformal", j, 1, sig.p, sig.q)
         for F in basis.elements:
             assert conformal_symmetry_operator(F) == _per_field_completion(F)
+
+    def test_exact_inverse(self):
+        """`_invert`, which gives the completion key its square blocks' inverses."""
+        F = Fraction
+        assert _invert([[F(2), F(1)], [F(1), F(1)]]) == [[1, -1], [-1, 2]]
+        assert _invert([[F(0), F(1, 2)], [F(3), F(0)]]) == [[0, F(1, 3)], [2, 0]]
+        with pytest.raises(ValueError, match="singular"):
+            _invert([[F(1), F(2)], [F(2), F(4)]])
 
 
 class TestLieClosure:

@@ -264,7 +264,7 @@ def reference_projected_rows(spec: AnsatzSpec, pos: dict) -> dict:
     ids=str,
 )
 def test_conformal_rows_equal_cleared_dense_projection(j, s, sig):
-    """The integer ansatz rows projected through the factors are, key for key
+    """The integer ansatz rows projected in closed form are, key for key
     and in order, the rows the dense projector columns give once cleared."""
     spec = AnsatzSpec("conformal", j, s, sig)
     labels = unknown_labels(j, sig.m, spec.resolved_degree())

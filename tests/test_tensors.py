@@ -22,8 +22,8 @@ from ktk import (
     traceless_project,
     x_squared,
 )
-from ktk import solver, tensors
-from ktk.tensors import _invert, _project_scaled, index_content
+from ktk import operators, solver, tensors
+from ktk.tensors import _project_scaled, index_content
 
 from conftest import projection_columns, random_field
 
@@ -184,13 +184,6 @@ class TestTracelessProject:
         for sig in (E3, MINK):
             assert traceless_project(metric_field(sig)).is_zero()
 
-    def test_trace_system_inverse(self):
-        F = Fraction
-        assert _invert([[F(2), F(1)], [F(1), F(1)]]) == [[1, -1], [-1, 2]]
-        assert _invert([[F(0), F(1, 2)], [F(3), F(0)]]) == [[0, F(1, 3)], [2, 0]]
-        with pytest.raises(ValueError, match="singular"):
-            _invert([[F(1), F(2)], [F(2), F(4)]])
-
 
 SMALL_SIGS = [Signature(p, m - p) for m in range(1, 5) for p in range(m + 1)]
 
@@ -202,14 +195,34 @@ def _nonzero_terms(comps, d) -> dict:
     }
 
 
+def integer_field(rng: random.Random, rank: int, sig: Signature) -> SymTensorField:
+    """A rank-`rank` field whose components are small integer combinations of
+    a few monomials of degree <= 2."""
+    monos = [tuple(rng.randrange(3) for _ in range(sig.m)) for _ in range(3)]
+    comps = {}
+    for idx in enumerate_indices(rank, sig.m):
+        terms = {mono: rng.randint(-5, 5) for mono in rng.sample(monos, rng.randint(0, 3))}
+        comps[idx] = Poly(sig.m, {mono: Fraction(c) for mono, c in terms.items() if c})
+    return SymTensorField(rank, sig, comps)
+
+
+@pytest.mark.parametrize(
+    "rank, sig", [(rank, sig) for rank in range(6) for sig in SMALL_SIGS], ids=str
+)
+def test_trace_outer_commutator(rank, sig):
+    """tr(outer T) - outer(tr T) = (m + 2 rank) T: the sl2 relation that the
+    closed form of the traceless projector rests on."""
+    T = integer_field(random.Random(f"sl2{rank}{sig}"), rank, sig)
+    lowered = metric_outer(trace(T)) if rank >= 2 else SymTensorField(rank, sig)
+    assert trace(metric_outer(T)) - lowered == T.scale(sig.m + 2 * rank)
+
+
 class TestFactoredProjection:
-    """`_project_scaled` applies P through its trace factors; the dense
-    columns of `conftest.projection_columns` are the oracle."""
+    """`_project_scaled` applies P in closed form, a sum of outer^k tr^k; the
+    dense columns of `conftest.projection_columns` are the oracle."""
 
     @pytest.mark.parametrize(
-        "rank, sig",
-        [(rank, sig) for rank in (2, 3, 4, 5) for sig in SMALL_SIGS] + [(6, MINK)],
-        ids=str,
+        "rank, sig", [(rank, sig) for rank in (2, 3, 4, 5, 6) for sig in SMALL_SIGS], ids=str
     )
     def test_equals_projector_columns(self, rank, sig):
         rng = random.Random(f"{rank}{sig}")
@@ -230,16 +243,22 @@ class TestFactoredProjection:
         assert _nonzero_terms(got, den) == _nonzero_terms(expect, 1)
 
     def test_verify_builds_no_projector_columns(self, monkeypatch):
-        one = SymTensorField(1, Signature(48, 0), {(1,): Poly.constant(48, 1)})
+        """`verify` inverts no matrix, so its cost follows the file, not the
+        signature: the rank-3 file on [48, 0] has one constant element, and
+        its rank-4 residual has C(51, 4) indices."""
+        sig48 = Signature(48, 0)
         bases = [
             solve_basis(AnsatzSpec("conformal", 2, 1, MINK)),
             solve_basis(AnsatzSpec("conformal", 1, 2, Signature(2, 1))),
-            Basis("conformal", 1, 1, Signature(48, 0), [one], degree_bound=2),
+            Basis("conformal", 1, 1, sig48, [SymTensorField(1, sig48, {(1,): 1})], 2),
+            Basis("conformal", 3, 1, sig48, [SymTensorField(3, sig48, {(1, 2, 3): 1})], 4),
         ]
 
-        # every projector cache starts empty, so verify builds what it needs here
-        for name in [name for name in vars(tensors) if name.endswith("_CACHE")]:
-            monkeypatch.setattr(tensors, name, {})
+        def refuse(matrix):
+            raise AssertionError("verify inverted a matrix")
+
+        monkeypatch.setattr(operators, "_invert", refuse)
+        assert not [name for name in vars(tensors) if name.endswith("_CACHE")]
         for basis in bases:
             assert solver.verify_basis(basis) == []
 
