@@ -31,7 +31,8 @@ class ConfigError(Exception):
     pass
 
 
-# The default of --max-unknowns.  The largest ansatz of the paper's tables
+# The default of --max-unknowns, and op-check's cap on the unknowns of one
+# element's operator completion.  The largest ansatz of the paper's tables
 # (p + q <= 4), conformal j = 4 on m = 4, has 17 325 unknowns; ordinary
 # j = 4 on m = 12 has 2 484 300 and, unchecked, ran for more than 15 s
 # before it had built its monomial list.
@@ -265,6 +266,16 @@ def _run_op_check(args) -> int:
         kappa2 = Fraction(args.kappa2)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"--kappa2 must be rational, got {args.kappa2!r}")
+    if basis.kind == "conformal":
+        m = basis.signature.m
+        for n, F in enumerate(basis.elements):
+            # the units x^alpha d^beta of F's completion key: |beta| < rank, |alpha| <= degree
+            units = comb(max(F.rank, 1) - 1 + m, m) * comb(max(F.max_degree(), 0) + m, m)
+            if units > MAX_UNKNOWNS:
+                raise ConfigError(
+                    f"element {n}: its operator completion has {units} unknowns, "
+                    f"more than the cap of {MAX_UNKNOWNS}"
+                )
     L = kgf(basis.signature, kappa2)
     build = (
         build_symmetry_operator if basis.kind == "ordinary" else conformal_symmetry_operator

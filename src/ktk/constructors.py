@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .equations import conformal_residual, killing_residual
-from .exactalg import Poly, back_substitute, clear_row, echelon, monomials_upto
+from .exactalg import Poly, clear_row, monomials_upto, reduce
 from .solver import (
     AnsatzSpec,
     fields_to_vectors,
@@ -243,16 +243,11 @@ def _canonical_basis(
     """Echelon-normalize a spanning family into a canonical Basis."""
     labels = unknown_labels(j, signature.m, degree_bound)
     vecs = fields_to_vectors(fields, j, signature.m, degree_bound)
-    # The null vector w_f (1 at free column f, 0 at the other free columns)
-    # is orthogonal to the reduced row led by pivot p, which is therefore
-    # e_p - sum_f w_f[p] e_f.
-    pivots = echelon(clear_row(vec) for vec in vecs)
-    reduced = {p: {p: Fraction(1)} for p, _ in pivots}
-    for f in sorted({c for vec in vecs for c in vec} - reduced.keys()):
-        for p, w in back_substitute(pivots, {f: 1}).items():
-            if p != f:
-                reduced[p][f] = -w
-    elements = vectors_to_fields(list(reduced.values()), labels, j, signature)
+    rows = [
+        {c: Fraction(v, row[p]) for c, v in row.items()}
+        for p, row in reduce(clear_row(vec) for vec in vecs)
+    ]
+    elements = vectors_to_fields(rows, labels, j, signature)
     return Basis(kind, j, s, signature, elements, degree_bound=degree_bound)
 
 

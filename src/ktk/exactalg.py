@@ -8,10 +8,10 @@ everywhere (iteration, JSON output) is graded lexicographic: first by total
 degree, then by exponent tuple.
 
 This bottom layer also holds the package's only exact linear algebra:
-`echelon` (one fraction-free forward pass) and `back_substitute` (one
-solve of its pivot rows), with `clear_row` to bring rational rows to
-integers.  Every rank, nullspace, span test and matrix inverse elsewhere
-is read from these two.
+`echelon` (one fraction-free forward pass) and `reduce` (its rows in
+reduced echelon form, still integers), with `clear_row` to bring rational
+rows to integers.  Ranks elsewhere are read from `echelon`; every
+nullspace, span test, matrix inverse and canonical basis from `reduce`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -421,21 +421,23 @@ def echelon(rows: Iterable[Mapping[int, int]]) -> list[tuple[int, dict[int, int]
     return pivots
 
 
-def back_substitute(
-    pivots: list[tuple[int, dict[int, int]]], values: Mapping[int, Fraction]
-) -> dict[int, Fraction]:
-    """The solution of the pivot rows with the given non-pivot values.
-
-    Columns absent from values are zero.  Returns those values plus every
-    nonzero pivot-column value, found from the last pivot row back to the
-    first, so that each pivot row vanishes on the result.
-    """
-    out = {c: Fraction(v) for c, v in values.items()}
+def reduce(rows: Iterable[Mapping[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Reduced echelon form of sparse integer rows, in integers: `echelon`'s
+    rows, from the last up, each cleared at the later pivot columns by one
+    integer combination and divided by its content, signed so that its pivot
+    is positive.  Returns (pivot column, row) pairs in increasing column
+    order.  The reduced echelon form of a row space is unique, so these rows
+    are too."""
+    pivots = echelon(rows)
+    done: dict[int, dict[int, int]] = {}
     for col, row in reversed(pivots):
-        acc = Fraction(0)
-        for c, v in row.items():
-            if c != col and c in out:
-                acc += v * out[c]
-        if acc:
-            out[col] = -acc / row[col]
-    return out
+        hits = [c for c in row if c != col and c in done]
+        scale = lcm(*(done[c][c] for c in hits))
+        cleared = {c: scale * v for c, v in row.items()}
+        for c in hits:
+            factor = scale // done[c][c] * row[c]
+            for k, w in done[c].items():
+                cleared[k] = cleared.get(k, 0) - factor * w
+        g = gcd(*cleared.values()) if row[col] > 0 else -gcd(*cleared.values())
+        done[col] = {c: v // g for c, v in cleared.items() if v}
+    return [(col, done[col]) for col, _ in pivots]

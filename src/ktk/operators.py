@@ -22,11 +22,10 @@ from .exactalg import (
     Terms,
     _as_fraction,
     _json_monomial,
-    back_substitute,
     clear_row,
-    echelon,
     grlex_key,
     monomials_upto,
+    reduce,
 )
 from .solver import independent_subset, span_dim
 from .tensors import Record, Signature, SymTensorField
@@ -273,15 +272,14 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse: column k is the null vector of [M | -I] with 1 at n + k."""
+    """Exact inverse: [M | -I] reduces to rows R[r] = R[r][r] (e_r | -M^-1[r])."""
     n = len(matrix)
-    pivots = echelon(
+    reduced = reduce(
         clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
     )
-    if [col for col, _ in pivots] != list(range(n)):
+    if [col for col, _ in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
-    cols = [back_substitute(pivots, {n + k: 1}) for k in range(n)]
-    return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
+    return [[Fraction(-row.get(n + k, 0), row[r]) for k in range(n)] for r, row in reduced]
 
 
 # Completion data per (signature, rank, degree bound).  For each Weyl grade

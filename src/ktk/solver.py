@@ -10,7 +10,7 @@ residual conserves the per-axis count of index entries plus exponents, the
 traceless variant still conserves its total and parity, and `system_rank`
 splits the prolonged systems by the same count.  Every rank, nullspace and
 span test here is read from the exact kernel in `ktk.exactalg`: one
-fraction-free (integer Bareiss) forward pass and one back-substitution.
+fraction-free (integer Bareiss) forward pass, reduced in integers.
 Every emitted basis is in reduced echelon form over a graded-lex unknown
 order, so output is deterministic down to the byte.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .equations import ProlongedSystem, _residual_scaled, prolong
-from .exactalg import Poly, back_substitute, clear_row, echelon, grlex_key, monomials_upto
+from .exactalg import Poly, clear_row, echelon, grlex_key, monomials_upto, reduce
 from .tensors import (
     Basis,
     Record,
@@ -41,19 +41,20 @@ from .tensors import (
 def _nullspace_sparse(rows: list[dict[int, int]], n_cols: int) -> list[dict[int, Fraction]]:
     """Canonical nullspace basis (reduced echelon rows over column order).
 
-    Elimination runs on reversed column labels, so every pivot row ends at
-    its pivot column.  The solution with a 1 at free column f and 0 at the
-    other free columns then has no entry left of f: it is the reduced
-    echelon row led by f.
+    Elimination runs on reversed column labels, so every reduced row R ends
+    at its pivot p.  The null vector with a 1 at free column f and 0 at the
+    other free columns is -R[f]/R[p] at each pivot p; it has no entry left
+    of f, so it is the reduced echelon row led by f.
     """
     last = n_cols - 1
-    pivots = echelon([{last - c: v for c, v in row.items()} for row in rows])
-    pivot_set = {last - c for c, _ in pivots}
-    return [
-        {last - c: v for c, v in back_substitute(pivots, {last - f: 1}).items()}
-        for f in range(n_cols)
-        if f not in pivot_set
-    ]
+    reduced = reduce([{last - c: v for c, v in row.items()} for row in rows])
+    vecs = {f: {f: Fraction(1)} for f in range(n_cols)}
+    for p, row in reversed(reduced):
+        del vecs[last - p]
+        for c, v in row.items():
+            if c != p:
+                vecs[last - c][last - p] = Fraction(-v, row[p])
+    return list(vecs.values())
 
 
 def nullspace(matrix: list[list]) -> list[list[Fraction]]:
@@ -119,12 +120,12 @@ def in_rational_span(vectors: list[dict], target: dict) -> list[Fraction] | None
     """Exact coordinates of target in span(vectors), or None if outside."""
     # Eliminate the transposed system with target as one more column.
     rhs_col = len(vectors)
-    pivots = echelon(_transposed_rows([*vectors, target]))
+    reduced = reduce(_transposed_rows([*vectors, target]))
     # Inconsistent iff some pivot lands on the rhs column.
-    if any(col == rhs_col for col, _ in pivots):
+    if any(col == rhs_col for col, _ in reduced):
         return None
-    # The null vector (coeffs, -1); free columns default to zero.
-    known = back_substitute(pivots, {rhs_col: -1})
+    # The null vector (coeffs, -1) that is zero at the free columns.
+    known = {p: Fraction(row.get(rhs_col, 0), row[p]) for p, row in reduced}
     result = [known.get(c, Fraction(0)) for c in range(rhs_col)]
     # Verify the combination reproduces target.
     recon: dict = {}

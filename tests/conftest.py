@@ -84,6 +84,25 @@ def residual_of(kind: str, F: SymTensorField, s: int) -> SymTensorField:
     return conformal_residual(F, s)
 
 
+def back_substitute(pivots: list, values: dict) -> dict:
+    """The solution of `echelon`'s pivot rows with the given non-pivot values,
+    in `Fraction` arithmetic: the reference for the read-offs from `reduce`.
+
+    Columns absent from values are zero.  Returns those values plus every
+    nonzero pivot-column value, found from the last pivot row back to the
+    first, so that each pivot row vanishes on the result.
+    """
+    out = {c: Fraction(v) for c, v in values.items()}
+    for col, row in reversed(pivots):
+        acc = Fraction(0)
+        for c, v in row.items():
+            if c != col and c in out:
+                acc += v * out[c]
+        if acc:
+            out[col] = -acc / row[col]
+    return out
+
+
 @lru_cache(maxsize=None)
 def projection_columns(rank: int, sig: Signature) -> dict:
     """Sparse columns of the traceless projector on rank-`rank` coefficient tensors,

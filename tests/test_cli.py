@@ -889,6 +889,43 @@ def test_wide_signature_file_finishes(tmp_path, command):
         }
 
 
+def test_op_check_refuses_oversized_completion(tmp_path):
+    """One x1^20 term at index (1, 1, 2) of a conformal j=3 (1,3) file asks
+    for a completion key of C(6, 4) * C(24, 4) = 159 390 units; op-check
+    refuses it before building any key, with exit 2 and one error."""
+    sig = Signature(1, 3)
+    F = SymTensorField(3, sig, {(1, 1, 2): Poly.monomial((20, 0, 0, 0))})
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(Basis("conformal", 3, 1, sig, [F], 20).to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktk.cli", "op-check", str(path), "--format", "json"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "element 0: its operator completion has 159390 unknowns, "
+        "more than the cap of 20000"
+    }
+
+
+@pytest.mark.parametrize("rank, degree", [(2, 4), (4, 8)])
+def test_op_check_admits_the_paper_completion_keys(monkeypatch, capsys, rank, degree):
+    """The size check admits the keys of the paper's tables: conformal j=2
+    (1,3) at degree 4 (350 units) and j=4 (1,3) at degree 8 (17 325 units)."""
+    sig = Signature(1, 3)
+    F = SymTensorField(rank, sig, {(1,) * rank: Poly.monomial((degree, 0, 0, 0))})
+    basis = Basis("conformal", rank, 1, sig, [F], degree)
+    monkeypatch.setattr(cli, "_load_basis", lambda path: basis)
+
+    def stop(F):
+        raise ValueError("stopped after the size check")
+
+    monkeypatch.setattr(cli, "conformal_symmetry_operator", stop)
+    assert cli.main(["op-check", "unused.json"]) == 2
+    assert capsys.readouterr().err == "error: element 0: stopped after the size check\n"
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ktk.cli", "count", "--m", "4",

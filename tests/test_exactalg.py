@@ -1,6 +1,9 @@
-"""Polynomial kernel: arithmetic examples, ring axioms, serialization."""
+"""Polynomial kernel: arithmetic examples, ring axioms, serialization; the
+elimination kernel (`echelon`, `reduce`) and the read-offs from `reduce`,
+each against the `back_substitute` oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktk import Poly, WeylOp
-from ktk.exactalg import grlex_key, monomials_upto
+from ktk import AnsatzSpec, Poly, Signature, WeylOp, operators
+from ktk.constructors import _canonical_basis, _family
+from ktk.exactalg import clear_row, echelon, grlex_key, monomials_upto, reduce
+from ktk.operators import _completion_data, _invert
+from ktk.solver import (
+    _ansatz_rows,
+    _content_key,
+    _nullspace_sparse,
+    _split_blocks,
+    _transposed_rows,
+    _unknown_items,
+    fields_to_vectors,
+    in_rational_span,
+    unknown_labels,
+    vectors_to_fields,
+)
+from ktk.tensors import Basis
+
+from conftest import back_substitute, solution_family
 
 
 def x(axis, dim=2):
@@ -164,3 +184,187 @@ def test_monomials_upto_equals_product_oracle(m):
         box = itertools.product(range(degree + 1), repeat=m)
         oracle = sorted((exps for exps in box if sum(exps) <= degree), key=grlex_key)
         assert monomials_upto(m, degree) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def _random_rows(rng: random.Random) -> list[dict[int, int]]:
+    """Sparse integer rows with zero, duplicate and dependent rows among them."""
+    n_cols = rng.randint(1, 9)
+    base = []
+    for _ in range(rng.randint(1, 6)):
+        cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
+        base.append({c: v for c in cols if (v := rng.randint(-6, 6))})
+    rows = list(base)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(base), rng.choice(base)
+        ka, kb = rng.randint(-3, 3), rng.randint(-3, 3)
+        combo = {c: ka * a.get(c, 0) + kb * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: v for c, v in combo.items() if v})
+    rows.append(dict(rng.choice(base)))
+    rows.append({})
+    rng.shuffle(rows)
+    return rows
+
+
+def _rref_oracle(rows: list[dict[int, int]]) -> list[tuple[int, dict]]:
+    """The reduced echelon rows, each scaled to pivot 1, from `echelon` and one
+    `back_substitute` per free column: the null vector w_f is orthogonal to the
+    reduced row led by p, which is therefore e_p - sum_f w_f[p] e_f."""
+    pivots = echelon(rows)
+    reduced = {p: {p: Fraction(1)} for p, _ in pivots}
+    for f in sorted({c for row in rows for c in row} - reduced.keys()):
+        for p, w in back_substitute(pivots, {f: 1}).items():
+            if p != f:
+                reduced[p][f] = -w
+    return list(reduced.items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_echelon_and_reduce_on_random_rows(seed):
+    rows = _random_rows(random.Random(seed))
+    n_cols = 1 + max((c for row in rows for c in row), default=0)
+    pivots = echelon(rows)
+    cols = [col for col, _ in pivots]
+    assert cols == sorted(set(cols))
+    assert all(min(row) == col and row[col] for col, row in pivots)
+    reduced = reduce(rows)
+    assert [col for col, _ in reduced] == cols
+    for col, row in reduced:
+        assert row[col] > 0
+        assert math.gcd(*row.values()) == 1
+        assert all(c == col or c not in row for c in cols)
+    # the row space: pivot-scaled rows equal the oracle's, and each input row
+    # is the combination of the reduced rows given by its pivot entries
+    assert [(col, {c: Fraction(v, row[col]) for c, v in row.items()}) for col, row in reduced] == (
+        _rref_oracle(rows)
+    )
+    for row in rows:
+        combo: dict = {}
+        for col, red in reduced:
+            for c, v in red.items():
+                combo[c] = combo.get(c, 0) + Fraction(row.get(col, 0), red[col]) * v
+        assert {c: v for c, v in combo.items() if v} == row
+    null = _nullspace_sparse(rows, n_cols)
+    assert len(null) == n_cols - len(reduced)
+    for vec in null:
+        for row in rows:
+            assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+
+
+def test_reduce_of_no_rows():
+    assert reduce([]) == reduce([{}, {}]) == []
+
+
+# ---------------------------------------------------------------------------
+# the read-offs from `reduce`, against the `back_substitute` oracle
+# ---------------------------------------------------------------------------
+
+
+def _nullspace_oracle(rows: list[dict[int, int]], n_cols: int) -> list[dict]:
+    last = n_cols - 1
+    pivots = echelon([{last - c: v for c, v in row.items()} for row in rows])
+    pivot_set = {last - c for c, _ in pivots}
+    return [
+        {last - c: v for c, v in back_substitute(pivots, {last - f: 1}).items()}
+        for f in range(n_cols)
+        if f not in pivot_set
+    ]
+
+
+def _invert_oracle(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(matrix)
+    pivots = echelon(
+        clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
+    )
+    if [col for col, _ in pivots] != list(range(n)):
+        raise ValueError("matrix is singular")
+    cols = [back_substitute(pivots, {n + k: 1}) for k in range(n)]
+    return [[col.get(r, Fraction(0)) for col in cols] for r in range(n)]
+
+
+def _span_oracle(vectors: list[dict], target: dict) -> list[Fraction] | None:
+    rhs_col = len(vectors)
+    pivots = echelon(_transposed_rows([*vectors, target]))
+    if any(col == rhs_col for col, _ in pivots):
+        return None
+    known = back_substitute(pivots, {rhs_col: -1})
+    return [known.get(c, Fraction(0)) for c in range(rhs_col)]
+
+
+@pytest.mark.parametrize(
+    "kind, j, p, q", [("conformal", 2, 1, 3), ("ordinary", 3, 2, 2)], ids=str
+)
+def test_nullspace_sparse_equals_oracle(kind, j, p, q):
+    spec = AnsatzSpec(kind, j, 1, Signature(p, q))
+    m = spec.signature.m
+    labels = unknown_labels(j, m, spec.resolved_degree())
+    rows = _ansatz_rows(spec, labels)
+    keys = [_content_key(*labels[u], m, kind) for u in range(len(labels))]
+    for cols, block_rows in _split_blocks(keys, rows.values()).values():
+        got = _nullspace_sparse(block_rows, len(cols))
+        want = _nullspace_oracle(block_rows, len(cols))
+        assert got == want
+        assert [list(vec) for vec in got] == [list(vec) for vec in want]
+
+
+def test_invert_equals_oracle_on_completion_key(monkeypatch):
+    """Every square block that the conformal j=2 (1,3) completion key inverts."""
+    blocks = []
+
+    def recording(matrix):
+        blocks.append(matrix)
+        return _invert(matrix)
+
+    monkeypatch.setattr(operators, "_COMPLETION_CACHE", {})
+    monkeypatch.setattr(operators, "_invert", recording)
+    _completion_data(Signature(1, 3), 2, 4)
+    assert len(blocks) > 10
+    for matrix in blocks:
+        assert _invert(matrix) == _invert_oracle(matrix)
+
+
+def test_invert_singular_matrix():
+    singular = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(2), Fraction(4), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(1)]]
+    for invert in (_invert, _invert_oracle):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            invert(singular)
+
+
+def test_canonical_basis_equals_oracle():
+    sig = Signature(2, 1)
+    degree = AnsatzSpec("conformal", 2, 2, sig).resolved_degree()
+    fields = _family("conformal", 2, 2, sig)
+    vecs = fields_to_vectors(fields, 2, sig.m, degree)
+    reduced = [row for _, row in _rref_oracle([clear_row(vec) for vec in vecs])]
+    labels = unknown_labels(2, sig.m, degree)
+    want = Basis("conformal", 2, 2, sig, vectors_to_fields(reduced, labels, 2, sig), degree)
+    got = _canonical_basis("conformal", 2, 2, sig, fields, degree)
+    assert got.elements == want.elements
+    assert got.to_json() == want.to_json()
+
+
+def test_in_rational_span_equals_oracle():
+    """Targets in the span of the conformal j=2 (2,1) basis plus dependent
+    vectors, so the transposed system has free columns; then targets outside."""
+    rng = random.Random(18)
+    vecs = [dict(_unknown_items(el)) for el in solution_family("conformal", 2, 1, 2, 1).elements]
+    twice = {k: 2 * v for k, v in vecs[0].items()}
+    vectors = [vecs[0], twice, *vecs[1:], vecs[3]]
+    for _ in range(5):
+        target: dict = {}
+        for vec in rng.sample(vecs, 4):
+            c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            for k, v in vec.items():
+                target[k] = target.get(k, 0) + c * v
+        target = {k: v for k, v in target.items() if v}
+        got = in_rational_span(vectors, target)
+        assert got is not None and got == _span_oracle(vectors, target)
+        assert got[1] == got[-1] == 0
+    outside = {**vecs[0], ((99, (0, 0, 99)), (3, 3)): Fraction(1)}
+    assert in_rational_span(vectors, outside) is None
+    assert _span_oracle(vectors, outside) is None

@@ -6,7 +6,7 @@ on one.  No module-level private name in src/ktk is left without a reader
 in src/ktk: tests alone do not keep code alive.  A CLI start imports every
 ktk module and none of the modules that `dataclasses` would pull in.  Every
 module parses as Python 3.10, the floor `pyproject.toml` declares, and the
-CLI runs on a python3.10 when one is on PATH."""
+CLI runs on a python3.10 when one starts, from PATH or installed by pyenv."""
 
 import ast
 import json
@@ -175,15 +175,30 @@ def test_modules_parse_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-def test_cli_solves_on_python_3_10():
-    """A count with --solve, which runs the solver end to end, on a real
-    3.10 interpreter; skipped when no python3.10 on PATH starts."""
-    exe = shutil.which("python3.10")
-    probe = exe and subprocess.run(
+def _starts_as_3_10(exe: str) -> bool:
+    probe = subprocess.run(
         [exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True
     )
-    if not probe or probe.returncode or probe.stdout.strip() != "(3, 10)":
-        pytest.skip("no working python3.10 on PATH")
+    return probe.returncode == 0 and probe.stdout.strip() == "(3, 10)"
+
+
+def _python_3_10() -> str | None:
+    """A python3.10 that starts: the one on PATH, else (as when that is a
+    pyenv shim with no 3.10 selected) one that pyenv has installed."""
+    candidates = [shutil.which("python3.10")]
+    pyenv = shutil.which("pyenv")
+    root = pyenv and subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+    if root:
+        candidates += sorted(map(str, Path(root).glob("versions/3.10.*/bin/python3.10")))
+    return next((exe for exe in candidates if exe and _starts_as_3_10(exe)), None)
+
+
+def test_cli_solves_on_python_3_10():
+    """A count with --solve, which runs the solver end to end, on a real
+    3.10 interpreter; skipped when no python3.10 starts."""
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no working python3.10 on PATH or installed by pyenv")
     argv = ["count", "--kind", "conformal", "--rank", "2", "--p", "1", "--q", "3", "--solve"]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([exe, "-m", "ktk.cli", *argv], capture_output=True, text=True, env=env)
