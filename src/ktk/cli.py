@@ -17,6 +17,7 @@ from itertools import chain, islice
 from math import comb
 
 from .constructors import KINDS, count
+from .equations import count_eq_unknowns
 from .operators import (
     build_symmetry_operator,
     check_symmetry,
@@ -31,8 +32,9 @@ class ConfigError(Exception):
     pass
 
 
-# The default of --max-unknowns, and op-check's cap on the unknowns of one
-# element's operator completion.  The largest ansatz of the paper's tables
+# The default of --max-unknowns, op-check's cap on the unknowns of one
+# element's operator completion, and prolong-rank's cap on the equations and
+# the unknowns of its system.  The largest ansatz of the paper's tables
 # (p + q <= 4), conformal j = 4 on m = 4, has 17 325 unknowns; ordinary
 # j = 4 on m = 12 has 2 484 300 and, unchecked, ran for more than 15 s
 # before it had built its monomial list.
@@ -319,6 +321,12 @@ def _run_prolong_rank(args) -> int:
     sig = _signature(args)
     if args.rank < 0 or args.k < 0 or args.order < 1:
         raise ConfigError("need rank >= 0, k >= 0, order >= 1")
+    n_e, n_u = count_eq_unknowns(args.rank, args.k, args.order, sig.m)
+    if max(n_e, n_u) > MAX_UNKNOWNS:
+        raise ConfigError(
+            f"the prolonged system has N_e = {n_e} equations and N_u = {n_u} unknowns, "
+            f"more than the cap of {MAX_UNKNOWNS}"
+        )
     report = full_rank_check(args.rank, args.k, args.order, sig)
     payload = report.to_json()
     text = (

@@ -61,10 +61,13 @@ class Terms:
             for key, c in terms.items():
                 key = self._key(key)
                 c = _as_fraction(c)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
+                if key in clean:
+                    c += clean[key]
+                    if not c:
                         del clean[key]
+                        continue
+                if c:
+                    clean[key] = c
         self.terms = clean
 
     def _key(self, exps) -> Monomial:

@@ -271,12 +271,12 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
     )
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse: [M | -I] reduces to rows R[r] = R[r][r] (e_r | -M^-1[r])."""
-    n = len(matrix)
-    reduced = reduce(
-        clear_row({**dict(enumerate(row)), n + k: -1}) for k, row in enumerate(matrix)
-    )
+def _invert(rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of the square matrix whose row k has the entries rows[k]
+    (column: value, zeros left out): [M | -I] reduces to rows
+    R[r] = R[r][r] (e_r | -M^-1[r])."""
+    n = len(rows)
+    reduced = reduce(clear_row({**row, n + k: -1}) for k, row in enumerate(rows))
     if [col for col, _ in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(-row.get(n + k, 0), row[r]) for k in range(n)] for r, row in reduced]
@@ -326,9 +326,7 @@ def _completion_data(sig: Signature, rank: int, max_x: int) -> dict:
         labels = sorted(by_label)
         # Independent rows of the kept columns: a square block to invert.
         rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
-        inverse = _invert(
-            [[by_label[lab].get(i, Fraction(0)) for i in range(len(keep))] for lab in rows]
-        )
+        inverse = _invert([by_label[lab] for lab in rows])
         data[grade] = (
             [units[n] for n in keep],
             rows,

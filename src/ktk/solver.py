@@ -8,9 +8,13 @@ residuals run (`equations._residual_scaled`), with one merged field per
 unknown.  The matrix splits into small independent blocks: the ordinary
 residual conserves the per-axis count of index entries plus exponents, the
 traceless variant still conserves its total and parity, and `system_rank`
-splits the prolonged systems by the same count.  Every rank, nullspace and
-span test here is read from the exact kernel in `ktk.exactalg`: one
-fraction-free (integer Bareiss) forward pass, reduced in integers.
+splits the prolonged systems by the same count.  `_solve_blocks` eliminates
+one block per orbit of the axis permutations that keep the metric, and maps
+its nullspace onto each mirror block whose columns and rows, as a set, the
+permutation hits exactly; a block that fails that check is eliminated
+itself.  Every rank, nullspace and span test here is read from the exact
+kernel in `ktk.exactalg`: one fraction-free (integer Bareiss) forward pass,
+reduced in integers.
 Every emitted basis is in reduced echelon form over a graded-lex unknown
 order, so output is deterministic down to the byte.
 """
@@ -289,18 +293,84 @@ def _split_blocks(col_keys: list, rows) -> dict:
     return blocks
 
 
-def _solve_blocks(labels, rows, key_of) -> list[dict[int, Fraction]]:
+def _axis_swaps(labels: list, signature: Signature) -> list[list[int]]:
+    """For each exchange of neighbouring same-sign axes a and a + 1, the id of
+    the image of each unknown (I, mono): the index entries and the exponents
+    move to the exchanged axes, and the index is sorted again."""
+    pos = {label: u for u, label in enumerate(labels)}
+    indices = {I for I, _ in labels}
+    monos = {mono for _, mono in labels}
+    perms = []
+    for a in range(1, signature.m):
+        if a == signature.p:
+            continue
+        swap = {a: a + 1, a + 1: a}
+        index_image = {I: tuple(sorted(swap.get(b, b) for b in I)) for I in indices}
+        mono_image = {e: (*e[: a - 1], e[a], e[a - 1], *e[a + 1 :]) for e in monos}
+        perms.append([pos[index_image[I], mono_image[mono]] for I, mono in labels])
+    return perms
+
+
+def _mapped_nullspace(src: tuple, null: list[dict], dst: tuple, image: list[int]):
+    """The canonical nullspace of block dst, read from the nullspace null of
+    block src, if the unknown map (column c of src to image[c]) takes src's
+    columns onto dst's and src's rows onto dst's rows as a set, which makes
+    the two systems equal up to relabeling; else None."""
+    (src_cols, src_rows), (dst_cols, dst_rows) = src, dst
+    place = {u: i for i, u in enumerate(dst_cols)}
+    if len(dst_cols) != len(image) or any(u not in place for u in image):
+        return None
+    moved = [place[u] for u in image]
+    mapped = {frozenset((moved[c], v) for c, v in row.items()) for row in src_rows}
+    if mapped != {frozenset(row.items()) for row in dst_rows}:
+        return None
+    int_rows = []
+    for vec in null:
+        scale = lcm(*(v.denominator for v in vec.values()))
+        int_rows.append({moved[c]: v.numerator * (scale // v.denominator) for c, v in vec.items()})
+    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in reduce(int_rows)]
+
+
+def _solve_blocks(labels, rows, key_of, signature: Signature) -> list[dict[int, Fraction]]:
     """Nullspace of a block-diagonal system of integer rows, canonical per block.
 
     key_of maps an unknown id to its block; a row that crosses a block
     boundary raises ValueError.  Returns reduced vectors in global
     coordinates, ordered by leading unknown.
+
+    The labels are the ansatz unknowns (I, mono).  Exchanging two neighbouring
+    axes of one metric sign keeps the metric, so it maps the system onto
+    itself and each block onto a mirror block; these exchanges generate the
+    p!·q! such axis permutations.  A block that no solved block has reached
+    is solved directly, and then its orbit is walked one exchange at a time:
+    each block reached is mapped from the block it was reached from
+    (`_mapped_nullspace`).  The reduced echelon basis of a subspace is
+    unique, so a mapped block has the bytes of a direct solve.  A block that
+    fails the map's check is solved directly when the loop reaches it.
     """
-    blocks = _split_blocks([key_of(u) for u in range(len(labels))], rows.values())
+    keys = [key_of(u) for u in range(len(labels))]
+    blocks = _split_blocks(keys, rows.values())
+    perms = _axis_swaps(labels, signature)
+    solved: dict = {}
+    for key, (cols, block_rows) in blocks.items():
+        if key in solved:
+            continue
+        solved[key] = _nullspace_sparse(block_rows, len(cols))
+        walk = [key]
+        while walk:
+            src = walk.pop()
+            for perm in perms:
+                image = [perm[u] for u in blocks[src][0]]
+                dst = keys[image[0]]
+                if dst not in solved:
+                    null = _mapped_nullspace(blocks[src], solved[src], blocks[dst], image)
+                    if null is not None:
+                        solved[dst] = null
+                        walk.append(dst)
     out = [
-        {cols[c]: v for c, v in vec.items()}
-        for cols, block_rows in blocks.values()
-        for vec in _nullspace_sparse(block_rows, len(cols))
+        {blocks[key][0][c]: v for c, v in vec.items()}
+        for key, null in solved.items()
+        for vec in null
     ]
     out.sort(key=min)
     return out
@@ -312,7 +382,10 @@ def solve_basis(spec: AnsatzSpec) -> Basis:
     labels = unknown_labels(spec.j, spec.signature.m, max_degree)
     rows = _ansatz_rows(spec, labels)
     vectors = _solve_blocks(
-        labels, rows, lambda u: _content_key(*labels[u], spec.signature.m, spec.kind)
+        labels,
+        rows,
+        lambda u: _content_key(*labels[u], spec.signature.m, spec.kind),
+        spec.signature,
     )
     elements = vectors_to_fields(vectors, labels, spec.j, spec.signature)
     return Basis(

@@ -17,7 +17,7 @@ from ktk import (
 )
 from ktk.equations import residual_terms
 from ktk.exactalg import monomials_upto
-from ktk.solver import _unknown_items, independent_subset
+from ktk.solver import _nullspace_sparse, _split_blocks, _unknown_items, independent_subset
 from ktk.operators import _invert
 from ktk.tensors import _project_scaled
 
@@ -103,6 +103,19 @@ def back_substitute(pivots: list, values: dict) -> dict:
     return out
 
 
+def all_blocks_nullspace(labels: list, rows: dict, key_of) -> list[dict]:
+    """`solver._solve_blocks` without its orbit map: every block's nullspace
+    from its own elimination, in global coordinates, by leading unknown."""
+    blocks = _split_blocks([key_of(u) for u in range(len(labels))], rows.values())
+    out = [
+        {cols[c]: v for c, v in vec.items()}
+        for cols, block_rows in blocks.values()
+        for vec in _nullspace_sparse(block_rows, len(cols))
+    ]
+    out.sort(key=min)
+    return out
+
+
 @lru_cache(maxsize=None)
 def projection_columns(rank: int, sig: Signature) -> dict:
     """Sparse columns of the traceless projector on rank-`rank` coefficient tensors,
@@ -130,7 +143,7 @@ def projection_columns(rank: int, sig: Signature) -> dict:
         [sum(tr[r][k] * outer[k][c] for k in range(nj)) for c in range(nt)]
         for r in range(nt)
     ]
-    inv = _invert(composed)
+    inv = _invert([{c: v for c, v in enumerate(row) if v} for row in composed])
     invtr = [
         [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
         for r in range(nt)

@@ -860,6 +860,30 @@ class TestProlongRank:
         assert code == 0
         assert "rank 3" in out and "full row rank" in out
 
+    def test_oversized_system_refused(self):
+        """j=6 k=12 on m=12 asks for a 43 028 530 272 x 30 892 278 144 system;
+        prolong-rank refuses it from the two counts, before it builds a row."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ktk.cli", "prolong-rank", "--rank", "6", "--k", "12",
+             "--order", "1", "--m", "12", "--format", "json"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "the prolonged system has N_e = 43028530272 equations and "
+            "N_u = 30892278144 unknowns, more than the cap of 20000"
+        }
+
+    def test_paper_size_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "prolong-rank", "--p", "1", "--q", "3", "--rank", "4", "--k", "4",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["N_e"], data["N_u"], data["rank"]) == (1960, 1960, 1960)
+
 
 @pytest.mark.parametrize("command", ["verify", "op-check"])
 def test_wide_signature_file_finishes(tmp_path, command):

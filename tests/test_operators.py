@@ -414,10 +414,10 @@ class TestCompletionOracle:
     def test_exact_inverse(self):
         """`_invert`, which gives the completion key its square blocks' inverses."""
         F = Fraction
-        assert _invert([[F(2), F(1)], [F(1), F(1)]]) == [[1, -1], [-1, 2]]
-        assert _invert([[F(0), F(1, 2)], [F(3), F(0)]]) == [[0, F(1, 3)], [2, 0]]
+        assert _invert([{0: F(2), 1: F(1)}, {0: F(1), 1: F(1)}]) == [[1, -1], [-1, 2]]
+        assert _invert([{1: F(1, 2)}, {0: F(3)}]) == [[0, F(1, 3)], [2, 0]]
         with pytest.raises(ValueError, match="singular"):
-            _invert([[F(1), F(2)], [F(2), F(4)]])
+            _invert([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}])
 
 
 class TestLieClosure:

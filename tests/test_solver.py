@@ -28,6 +28,9 @@ from ktk.exactalg import clear_row
 from ktk.solver import (
     AnsatzSpec,
     _ansatz_rows,
+    _content_key,
+    _solve_blocks,
+    _split_blocks,
     field_vector,
     in_rational_span,
     independent_subset,
@@ -44,6 +47,7 @@ from conftest import (
     EUCLID,
     M4_SIGS,
     SIGS_BY_M,
+    all_blocks_nullspace,
     projection_columns,
     reference_conformal_rows,
     reference_residual_rows,
@@ -157,9 +161,10 @@ def test_block_crossing_row_raises_under_optimize():
     script = (
         "import sys\n"
         "from ktk.solver import _solve_blocks\n"
+        "from ktk.tensors import Signature\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
-        "    _solve_blocks(['a', 'b'], {'r': {0: 1, 1: 1}}, lambda u: u)\n"
+        "    _solve_blocks(['a', 'b'], {'r': {0: 1, 1: 1}}, lambda u: u, Signature(2, 0))\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -361,6 +366,76 @@ class TestSolveBasis:
         for (m, j, s), dim in expect.items():
             basis = solve_basis(AnsatzSpec("conformal", j, s, EUCLID[m]))
             assert len(basis) == dim, (m, j, s)
+
+
+def _ansatz_system(kind, j, s, p, q, degree=None):
+    """The arguments of `_solve_blocks` for one ansatz, as `solve_basis` passes them."""
+    spec = AnsatzSpec(kind, j, s, Signature(p, q), degree)
+    labels = unknown_labels(j, p + q, spec.resolved_degree())
+    return labels, _ansatz_rows(spec, labels), lambda u: _content_key(*labels[u], p + q, kind)
+
+
+@pytest.fixture
+def direct_solves(monkeypatch):
+    """The rows of each block that `_solve_blocks` eliminates itself, in order."""
+    calls = []
+    solve = ktk.solver._nullspace_sparse
+
+    def counted(rows, n_cols):
+        calls.append(rows)
+        return solve(rows, n_cols)
+
+    monkeypatch.setattr(ktk.solver, "_nullspace_sparse", counted)
+    return calls
+
+
+class TestOrbitSolve:
+    """`_solve_blocks` eliminates one block per orbit of the sign-preserving
+    axis permutations and maps its nullspace onto the other blocks."""
+
+    @pytest.mark.parametrize(
+        "p, q, orbits", [(1, 3, 28), (3, 1, 28), (2, 2, 31), (4, 0, 17)]
+    )
+    def test_one_direct_solve_per_orbit(self, direct_solves, p, q, orbits):
+        labels, rows, key_of = _ansatz_system("conformal", 3, 1, p, q)
+        _solve_blocks(labels, rows, key_of, Signature(p, q))
+        blocks = _split_blocks([key_of(u) for u in range(len(labels))], rows.values())
+        assert (len(direct_solves), len(blocks)) == (orbits, 56)
+
+    @pytest.mark.parametrize(
+        "kind, j, s, p, q", [("ordinary", 2, 2, 3, 0), ("conformal", 2, 1, 2, 2)]
+    )
+    def test_changed_mirror_block_is_solved_directly(self, direct_solves, kind, j, s, p, q):
+        """One entry of one row of a mapped block is changed, so the row-set
+        check fails: that block is eliminated on its own, and every vector
+        still equals the all-blocks oracle on the changed rows."""
+        sig = Signature(p, q)
+        labels, rows, key_of = _ansatz_system(kind, j, s, p, q)
+        before = _solve_blocks(labels, rows, key_of, sig)
+        keys = [key_of(u) for u in range(len(labels))]
+        mapped = next(
+            key for key, (_, block_rows) in _split_blocks(keys, rows.values()).items()
+            if block_rows and block_rows not in direct_solves
+        )
+        r, row = next((r, row) for r, row in rows.items() if row and keys[min(row)] == mapped)
+        u = min(row)
+        changed = {**rows, r: {**row, u: row[u] + 1}}
+        direct_solves.clear()
+        after = _solve_blocks(labels, changed, key_of, sig)
+        assert _split_blocks(keys, changed.values())[mapped][1] in direct_solves
+        assert after == all_blocks_nullspace(labels, changed, key_of)
+        assert after != before
+
+    @pytest.mark.parametrize("sig", [(3, 0), (2, 1), (1, 3), (2, 2), (4, 0), (1, 1)])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("kind", ["ordinary", "conformal"])
+    def test_equals_all_blocks_oracle(self, kind, s, sig):
+        p, q = sig
+        degree = 4 if kind == "conformal" and p + q <= 2 else None
+        for j in (1, 2):
+            labels, rows, key_of = _ansatz_system(kind, j, s, p, q, degree)
+            got = _solve_blocks(labels, rows, key_of, Signature(p, q))
+            assert got == all_blocks_nullspace(labels, rows, key_of)
 
 
 class TestSaturation:
