@@ -38,7 +38,6 @@ from .solver import (
     verify_basis,
 )
 from .constructors import (
-    build_order_s_basis,
     conformal_vectors,
     count,
     killing_vectors,
@@ -77,7 +76,6 @@ __all__ = [
     "SymTensorField",
     "WeylOp",
     "anticommutator",
-    "build_order_s_basis",
     "build_symmetry_operator",
     "check_symmetry",
     "commutator",

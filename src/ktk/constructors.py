@@ -1,28 +1,22 @@
 """Closed-form counts, seed vector bases, and generative constructions.
 
 Counting formulas give the exact dimension of each solution family.  The
-five product/scaling/contraction lemmas below act on single solutions;
-`build_order_s_basis` spans a whole family by products of the vector bases
-times polynomial multipliers.  Stored components follow the package
-convention: they satisfy the plain-derivative defining systems, so metric
-signs appear explicitly inside the seed formulas.
+five product/scaling/contraction lemmas below act on single solutions and
+check that their inputs solve the system they claim.  Bases of whole
+families come from `solver.solve_basis`; the tests keep the paper's claim
+that products of the vector bases times polynomial multipliers span each
+family.  Stored components follow the package convention: they satisfy the
+plain-derivative defining systems, so metric signs appear explicitly inside
+the seed formulas.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb
 
 from .equations import conformal_residual, killing_residual
-from .exactalg import Poly, clear_row, monomials_upto, reduce
-from .solver import (
-    AnsatzSpec,
-    fields_to_vectors,
-    solve_basis,
-    unknown_labels,
-    vectors_to_fields,
-)
+from .exactalg import Poly
 from .tensors import (
     Basis,
     Signature,
@@ -229,78 +223,3 @@ def lemma5_scale(F: SymTensorField, phi: Poly, order: int) -> SymTensorField:
     if not conformal_residual(F, order).is_zero():
         raise ValueError(f"field does not satisfy the traceless order-{order} system")
     return F.scale(phi)
-
-
-# ---------------------------------------------------------------------------
-# order-s basis generation
-# ---------------------------------------------------------------------------
-
-
-def _canonical_basis(
-    kind: str, j: int, s: int, signature: Signature, fields: list[SymTensorField],
-    degree_bound: int,
-) -> Basis:
-    """Echelon-normalize a spanning family into a canonical Basis."""
-    labels = unknown_labels(j, signature.m, degree_bound)
-    vecs = fields_to_vectors(fields, j, signature.m, degree_bound)
-    rows = [
-        {c: Fraction(v, row[p]) for c, v in row.items()}
-        for p, row in reduce(clear_row(vec) for vec in vecs)
-    ]
-    elements = vectors_to_fields(rows, labels, j, signature)
-    return Basis(kind, j, s, signature, elements, degree_bound=degree_bound)
-
-
-def _family(kind: str, j: int, s: int, signature: Signature) -> list[SymTensorField]:
-    """Order-1 products times multipliers: a spanning set of the order-s family.
-
-    Seeds are the rank-j products of (conformal) Killing vectors, projected
-    traceless after each factor for the conformal kind; the empty product is
-    the scalar 1.  For s >= 2 they are first reduced to the canonical basis
-    of the order-1 family they span, which drops the many dependent products
-    before they are multiplied.  Each seed is multiplied by every x^delta,
-    and for the conformal kind every x^delta (x^2)^c, with |delta| + c <=
-    s - 1: each affine factor (lemma 3) or x^2 (lemma 5) raises the order by
-    one.  The monomial fields e_I x^delta (for the conformal kind their
-    traceless parts) need no loop of their own: e_I is a product of
-    translations, and the traceless projection commutes with scalar factors.
-    """
-    m = signature.m
-    conformal = kind == "conformal"
-    vectors = (conformal_vectors if conformal else killing_vectors)(signature).elements
-    seeds = []
-    for combo in itertools.combinations_with_replacement(vectors, j):
-        F = SymTensorField(0, signature, {(): Poly.constant(m, 1)})
-        for V in combo:
-            F = _sym_vector_product(F, V)
-            if conformal:
-                F = traceless_project(F)
-        seeds.append(F)
-    if s > 1:
-        degree = AnsatzSpec(kind, j, 1, signature).resolved_degree()
-        seeds = _canonical_basis(kind, j, 1, signature, seeds, degree).elements
-    xsq = x_squared(signature)
-    multipliers = [
-        Poly.monomial(exps) * xsq**c
-        for c in range(s if conformal else 1)
-        for exps in monomials_upto(m, s - 1 - c)
-    ]
-    return [F.scale(phi) for phi in multipliers for F in seeds]
-
-
-def build_order_s_basis(kind: str, j: int, s: int, signature: Signature) -> Basis:
-    """Complete basis from the generative constructions, solver-checked.
-
-    The candidates of `_family` are echelon-normalized at the ansatz degree
-    bound.  If the dimension of their span misses the counting formula the
-    solver result is returned instead.
-    """
-    spec = AnsatzSpec(kind, j, s, signature)
-    if signature.m > 4:
-        raise ValueError("counting formulas cover m <= 4 only")
-    degree_bound = spec.resolved_degree()
-    fields = _family(kind, j, s, signature)
-    basis = _canonical_basis(kind, j, s, signature, fields, degree_bound)
-    if len(basis) != count(kind, signature.m, j, s):
-        return solve_basis(spec)
-    return basis

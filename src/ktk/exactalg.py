@@ -363,16 +363,14 @@ def monomials_upto(m: int, degree: int) -> list[Monomial]:
 
 
 def clear_row(row: Mapping, keymap: Mapping | None = None) -> dict[int, int]:
-    """Scale a sparse rational row to integers (keys optionally remapped)."""
-    denom = lcm(*(Fraction(v).denominator for v in row.values())) if row else 1
-    out = {}
-    for k, v in row.items():
-        v = Fraction(v) * denom
-        if v.denominator != 1:
-            raise ArithmeticError(f"row entry {v} not cleared by denominator {denom}")
-        if v:
-            out[keymap[k] if keymap else k] = v.numerator
-    return out
+    """Scale a sparse row of `int` and `Fraction` entries by the lcm of their
+    denominators, dropping zeros (keys optionally remapped)."""
+    denom = lcm(*(v.denominator for v in row.values()))
+    return {
+        keymap[k] if keymap else k: v.numerator * (denom // v.denominator)
+        for k, v in row.items()
+        if v
+    }
 
 
 def echelon(rows: Iterable[Mapping[int, int]]) -> list[tuple[int, dict[int, int]]]:

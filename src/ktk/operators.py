@@ -271,15 +271,18 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
     )
 
 
-def _invert(rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
+def _invert(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     """Exact inverse of the square matrix whose row k has the entries rows[k]
-    (column: value, zeros left out): [M | -I] reduces to rows
-    R[r] = R[r][r] (e_r | -M^-1[r])."""
+    (column: value, zeros left out), its rows in the same sparse form:
+    [M | -I] reduces to rows R[r] = R[r][r] (e_r | -M^-1[r])."""
     n = len(rows)
     reduced = reduce(clear_row({**row, n + k: -1}) for k, row in enumerate(rows))
     if [col for col, _ in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(-row.get(n + k, 0), row[r]) for k in range(n)] for r, row in reduced]
+    return [
+        {c - n: Fraction(-v, row[r]) for c, v in row.items() if c >= n}
+        for r, row in reduced
+    ]
 
 
 # Completion data per (signature, rank, degree bound).  For each Weyl grade
@@ -326,11 +329,10 @@ def _completion_data(sig: Signature, rank: int, max_x: int) -> dict:
         labels = sorted(by_label)
         # Independent rows of the kept columns: a square block to invert.
         rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
-        inverse = _invert([by_label[lab] for lab in rows])
         data[grade] = (
             [units[n] for n in keep],
             rows,
-            [{k: v for k, v in enumerate(inv_row) if v} for inv_row in inverse],
+            _invert([by_label[lab] for lab in rows]),
         )
     _COMPLETION_CACHE[key] = data
     return data

@@ -1,23 +1,40 @@
-"""Shared helpers: signatures, random field generators, cached solution families."""
+"""Shared helpers: signatures, random field generators, the generative basis
+oracle and the solution families it builds."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 from ktk import (
+    AnsatzSpec,
+    Basis,
     DefiningSystem,
     Poly,
     Signature,
     SymTensorField,
-    build_order_s_basis,
     conformal_residual,
+    conformal_vectors,
+    count,
     enumerate_indices,
     killing_residual,
+    killing_vectors,
+    traceless_project,
+    x_squared,
 )
+from ktk.constructors import _sym_vector_product
 from ktk.equations import residual_terms
-from ktk.exactalg import monomials_upto
-from ktk.solver import _nullspace_sparse, _split_blocks, _unknown_items, independent_subset
+from ktk.exactalg import clear_row, monomials_upto, reduce
+from ktk.solver import (
+    _nullspace_sparse,
+    _split_blocks,
+    _unknown_items,
+    fields_to_vectors,
+    independent_subset,
+    unknown_labels,
+    vectors_to_fields,
+)
 from ktk.operators import _invert
 from ktk.tensors import _project_scaled
 
@@ -60,9 +77,71 @@ def random_field(rng: random.Random, rank: int, sig: Signature, degree: int) -> 
     return SymTensorField(rank, sig, comps)
 
 
+def canonical_basis(
+    kind: str, j: int, s: int, sig: Signature, fields: list[SymTensorField], degree_bound: int
+) -> Basis:
+    """The reduced echelon basis of the span of fields at the degree bound."""
+    labels = unknown_labels(j, sig.m, degree_bound)
+    vecs = fields_to_vectors(fields, j, sig.m, degree_bound)
+    rows = [
+        {c: Fraction(v, row[p]) for c, v in row.items()}
+        for p, row in reduce(clear_row(vec) for vec in vecs)
+    ]
+    return Basis(kind, j, s, sig, vectors_to_fields(rows, labels, j, sig), degree_bound)
+
+
+def generative_family(kind: str, j: int, s: int, sig: Signature) -> list[SymTensorField]:
+    """Order-1 products times multipliers: the paper's spanning set of the
+    order-s family.
+
+    Seeds are the rank-j products of (conformal) Killing vectors, projected
+    traceless after each factor for the conformal kind; the empty product is
+    the scalar 1.  For s >= 2 they are first reduced to the canonical basis
+    of the order-1 family they span, which drops the many dependent products
+    before they are multiplied.  Each seed is multiplied by every x^delta,
+    and for the conformal kind every x^delta (x^2)^c, with |delta| + c <=
+    s - 1: each affine factor (lemma 3) or x^2 (lemma 5) raises the order by
+    one.  The monomial fields e_I x^delta (for the conformal kind their
+    traceless parts) need no loop of their own: e_I is a product of
+    translations, and the traceless projection commutes with scalar factors.
+    """
+    m = sig.m
+    conformal = kind == "conformal"
+    vectors = (conformal_vectors if conformal else killing_vectors)(sig).elements
+    seeds = []
+    for combo in itertools.combinations_with_replacement(vectors, j):
+        F = SymTensorField(0, sig, {(): Poly.constant(m, 1)})
+        for V in combo:
+            F = _sym_vector_product(F, V)
+            if conformal:
+                F = traceless_project(F)
+        seeds.append(F)
+    if s > 1:
+        degree = AnsatzSpec(kind, j, 1, sig).resolved_degree()
+        seeds = canonical_basis(kind, j, 1, sig, seeds, degree).elements
+    xsq = x_squared(sig)
+    multipliers = [
+        Poly.monomial(exps) * xsq**c
+        for c in range(s if conformal else 1)
+        for exps in monomials_upto(m, s - 1 - c)
+    ]
+    return [F.scale(phi) for phi in multipliers for F in seeds]
+
+
+def generative_basis(kind: str, j: int, s: int, sig: Signature) -> Basis:
+    """The canonical basis of `generative_family`'s span at the ansatz degree
+    bound, which must reach the counting formula: the spanning oracle that
+    the solver's bases are compared against."""
+    degree_bound = AnsatzSpec(kind, j, s, sig).resolved_degree()
+    basis = canonical_basis(kind, j, s, sig, generative_family(kind, j, s, sig), degree_bound)
+    want = count(kind, sig.m, j, s)
+    assert len(basis) == want, f"generative span of {kind} j={j} s={s} on {sig}: {len(basis)} != {want}"
+    return basis
+
+
 @lru_cache(maxsize=None)
 def solution_family(kind: str, j: int, s: int, p: int, q: int):
-    return build_order_s_basis(kind, j, s, Signature(p, q))
+    return generative_basis(kind, j, s, Signature(p, q))
 
 
 def random_solution(rng: random.Random, kind: str, j: int, s: int, sig: Signature) -> SymTensorField:
@@ -145,7 +224,7 @@ def projection_columns(rank: int, sig: Signature) -> dict:
     ]
     inv = _invert([{c: v for c, v in enumerate(row) if v} for row in composed])
     invtr = [
-        [sum(inv[r][t] * tr[t][k] for t in range(nt)) for k in range(nj)]
+        [sum(v * tr[t][k] for t, v in inv[r].items()) for k in range(nj)]
         for r in range(nt)
     ]
     data = {}

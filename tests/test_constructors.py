@@ -9,7 +9,6 @@ from ktk import (
     Poly,
     Signature,
     SymTensorField,
-    build_order_s_basis,
     conformal_residual,
     conformal_vectors,
     count,
@@ -25,7 +24,7 @@ from ktk import (
 )
 from ktk.solver import AnsatzSpec
 
-from conftest import SIGS_BY_M, random_solution
+from conftest import SIGS_BY_M, generative_basis, random_solution
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -323,36 +322,17 @@ class TestBuildBasis:
 
     def test_first_order_families(self):
         for kind, j, s, sig in self.FIRST_ORDER:
-            basis = build_order_s_basis(kind, j, s, sig)
+            basis = generative_basis(kind, j, s, sig)
             assert len(basis) == count(kind, sig.m, j, s)
             self._spans_match(basis, AnsatzSpec(kind, j, s, sig))
 
     def test_higher_order_families(self):
         for kind, j, s, sig, expect in self.HIGHER_ORDER:
-            basis = build_order_s_basis(kind, j, s, sig)
+            basis = generative_basis(kind, j, s, sig)
             assert len(basis) == expect == count(kind, sig.m, j, s)
             self._spans_match(basis, AnsatzSpec(kind, j, s, sig))
 
     def test_every_element_solves_its_system(self):
-        basis = build_order_s_basis(*self.ELEMENTWISE)
+        basis = generative_basis(*self.ELEMENTWISE)
         for el in basis.elements:
             assert killing_residual(el, 2).is_zero()
-
-    def test_generative_path_reaches_the_count(self, monkeypatch):
-        """No case above needs the solver fallback of build_order_s_basis."""
-
-        def no_fallback(spec):
-            raise RuntimeError(f"solver fallback taken for {spec}")
-
-        monkeypatch.setattr("ktk.constructors.solve_basis", no_fallback)
-        cases = self.FIRST_ORDER + [c[:4] for c in self.HIGHER_ORDER] + [self.ELEMENTWISE]
-        for kind, j, s, sig in cases:
-            assert len(build_order_s_basis(kind, j, s, sig)) == count(kind, sig.m, j, s)
-
-    def test_refusals(self):
-        with pytest.raises(ValueError):
-            build_order_s_basis("conformal", 1, 1, E2)
-        with pytest.raises(ValueError):
-            build_order_s_basis("ordinary", 1, 1, Signature(3, 2))
-        with pytest.raises(ValueError):
-            build_order_s_basis("nope", 1, 1, E2)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktk import AnsatzSpec, Poly, Signature, WeylOp, operators
-from ktk.constructors import _canonical_basis, _family
 from ktk.exactalg import clear_row, echelon, grlex_key, monomials_upto, reduce
 from ktk.operators import _completion_data, _invert
 from ktk.solver import (
@@ -29,7 +28,7 @@ from ktk.solver import (
 )
 from ktk.tensors import Basis
 
-from conftest import back_substitute, solution_family
+from conftest import back_substitute, canonical_basis, generative_family, solution_family
 
 
 def x(axis, dim=2):
@@ -259,6 +258,17 @@ def test_reduce_of_no_rows():
     assert reduce([]) == reduce([{}, {}]) == []
 
 
+def test_clear_row():
+    """Mixed `int` and `Fraction` entries scale by the lcm of the
+    denominators; zeros drop out, and keymap renames the kept keys."""
+    row = {0: 3, 1: Fraction(1, 4), 2: Fraction(0), 3: Fraction(-5, 6), 4: 0}
+    cleared = clear_row(row)
+    assert cleared == {0: 36, 1: 3, 3: -10}
+    assert all(type(v) is int for v in cleared.values())
+    assert clear_row(row, {0: 7, 1: 5, 2: 9, 3: 1, 4: 8}) == {7: 36, 5: 3, 1: -10}
+    assert clear_row({}) == {}
+
+
 # ---------------------------------------------------------------------------
 # the read-offs from `reduce`, against the `back_substitute` oracle
 # ---------------------------------------------------------------------------
@@ -326,7 +336,9 @@ def test_invert_equals_oracle_on_completion_key(monkeypatch):
     for rows in blocks:
         # the key hands over its nonzero entries only
         assert all(v for row in rows for v in row.values())
-        assert _invert(rows) == _invert_oracle(_dense(rows))
+        inverse = _invert(rows)
+        assert all(v for row in inverse for v in row.values())
+        assert _dense(inverse) == _invert_oracle(_dense(rows))
 
 
 def _dense(rows: list[dict]) -> list[list[Fraction]]:
@@ -344,12 +356,12 @@ def test_invert_singular_matrix():
 def test_canonical_basis_equals_oracle():
     sig = Signature(2, 1)
     degree = AnsatzSpec("conformal", 2, 2, sig).resolved_degree()
-    fields = _family("conformal", 2, 2, sig)
+    fields = generative_family("conformal", 2, 2, sig)
     vecs = fields_to_vectors(fields, 2, sig.m, degree)
     reduced = [row for _, row in _rref_oracle([clear_row(vec) for vec in vecs])]
     labels = unknown_labels(2, sig.m, degree)
     want = Basis("conformal", 2, 2, sig, vectors_to_fields(reduced, labels, 2, sig), degree)
-    got = _canonical_basis("conformal", 2, 2, sig, fields, degree)
+    got = canonical_basis("conformal", 2, 2, sig, fields, degree)
     assert got.elements == want.elements
     assert got.to_json() == want.to_json()
 

@@ -1,6 +1,7 @@
 """Source hygiene: no module in src/ktk imports a name it never uses or binds
 a local it never reads.  The package's own __init__ re-exports its imports,
-so it is left out of that check.  No module in src/ktk, __init__ included,
+so it is left out of that check; instead its `__all__` must list exactly
+the names it imports, each of which resolves.  No module in src/ktk, __init__ included,
 has an `assert` statement: `python -O` strips them, so no invariant may rest
 on one.  No module-level private name in src/ktk is left without a reader
 in src/ktk: tests alone do not keep code alive.  A CLI start imports every
@@ -76,6 +77,26 @@ def test_scanner_finds_both_faults():
     assert unused_imports(tree) == []
     assert unread_locals(tree) == ["f.box (line 3)"]
     assert unused_imports(ast.parse("import os, json\njson.dumps(1)\n")) == ["os"]
+
+
+def test_init_exports_what_it_imports():
+    """A name that leaves the imports of `ktk/__init__.py` must leave
+    `ktk.__all__` too, and the other way round."""
+    import ktk
+
+    init = SRC / "__init__.py"
+    tree = ast.parse(init.read_text(), filename=str(init))
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    assert sorted(ktk.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    namespace: dict = {}
+    exec("from ktk import *", namespace)
+    assert all(namespace[name] is getattr(ktk, name) for name in imported)
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)

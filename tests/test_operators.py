@@ -14,7 +14,6 @@ from ktk import (
     WeylOp,
     anticommutator,
     build_symmetry_operator,
-    build_order_s_basis,
     check_symmetry,
     commutator,
     conformal_symmetry_operator,
@@ -27,7 +26,7 @@ from ktk import (
 from ktk.operators import _completion_data, _grade, _invert
 from ktk.solver import in_rational_span
 
-from conftest import EUCLID, SIGS_BY_M, solution_family
+from conftest import EUCLID, SIGS_BY_M, generative_basis, solution_family
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -264,14 +263,14 @@ class TestOrdinaryInvariant:
             for sig in SIGS_BY_M[m]:
                 box = kgf(sig)
                 for j in (1, 2):
-                    basis = build_order_s_basis("ordinary", j, 1, sig)
+                    basis = generative_basis("ordinary", j, 1, sig)
                     for el in basis.elements:
                         Q = build_symmetry_operator(el)
                         assert commutator(Q, box.as_weyl()).is_zero()
 
     def test_massive_case_unchanged(self):
         L = kgf(Signature(1, 1), kappa_squared=Fraction(7, 2))
-        basis = build_order_s_basis("ordinary", 2, 1, Signature(1, 1))
+        basis = generative_basis("ordinary", 2, 1, Signature(1, 1))
         for el in basis.elements:
             report = check_symmetry(build_symmetry_operator(el), L)
             assert report.is_symmetry and report.alpha.is_zero()
@@ -280,7 +279,7 @@ class TestOrdinaryInvariant:
 class TestConformalOperators:
     def test_completion_passes_check(self):
         for sig in (E3, Signature(2, 1)):
-            basis = build_order_s_basis("conformal", 1, 1, sig)
+            basis = generative_basis("conformal", 1, 1, sig)
             L = kgf(sig)
             flagged = 0
             for el in basis.elements:
@@ -414,8 +413,11 @@ class TestCompletionOracle:
     def test_exact_inverse(self):
         """`_invert`, which gives the completion key its square blocks' inverses."""
         F = Fraction
-        assert _invert([{0: F(2), 1: F(1)}, {0: F(1), 1: F(1)}]) == [[1, -1], [-1, 2]]
-        assert _invert([{1: F(1, 2)}, {0: F(3)}]) == [[0, F(1, 3)], [2, 0]]
+        assert _invert([{0: F(2), 1: F(1)}, {0: F(1), 1: F(1)}]) == [
+            {0: 1, 1: -1},
+            {0: -1, 1: 2},
+        ]
+        assert _invert([{1: F(1, 2)}, {0: F(3)}]) == [{1: F(1, 3)}, {0: 2}]
         with pytest.raises(ValueError, match="singular"):
             _invert([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}])
 
@@ -447,7 +449,7 @@ class TestEnveloping:
                 for B in gens[i:]:
                     products.append(anticommutator(A, B))
             prod_vecs = [dict(P.terms) for P in products]
-            basis = build_order_s_basis("ordinary", 2, 1, sig)
+            basis = generative_basis("ordinary", 2, 1, sig)
             for el in basis.elements:
                 Q = build_symmetry_operator(el)
                 assert in_rational_span(prod_vecs, dict(Q.terms)) is not None

@@ -17,7 +17,6 @@ from ktk import (
     Poly,
     Signature,
     SymTensorField,
-    build_order_s_basis,
     full_rank_check,
     nullspace,
     saturation_check,
@@ -48,6 +47,7 @@ from conftest import (
     M4_SIGS,
     SIGS_BY_M,
     all_blocks_nullspace,
+    generative_basis,
     projection_columns,
     reference_conformal_rows,
     reference_residual_rows,
@@ -237,6 +237,10 @@ class TestAnsatz:
     def test_ordinary_degree_bound(self):
         assert AnsatzSpec("ordinary", 2, 1, EUCLID[3]).resolved_degree() == 2
         assert AnsatzSpec("conformal", 1, 1, EUCLID[3]).resolved_degree() == 2
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown kind 'nope'"):
+            AnsatzSpec("nope", 1, 1, EUCLID[2])
 
 
 def reference_projected_rows(spec: AnsatzSpec, pos: dict) -> dict:
@@ -568,7 +572,7 @@ class TestVerifyBasis:
         [
             lambda: solve_basis(AnsatzSpec("conformal", 2, 1, Signature(1, 3))),
             lambda: solve_basis(AnsatzSpec("ordinary", 3, 2, Signature(1, 3))),
-            lambda: build_order_s_basis("conformal", 1, 2, EUCLID[3]),
+            lambda: generative_basis("conformal", 1, 2, EUCLID[3]),
         ],
         ids=["conformal-j2-p1q3", "ordinary-j3-s2-p1q3", "generative-conformal-j1-s2-E3"],
     )
