@@ -271,7 +271,9 @@ def _run_op_check(args) -> int:
     if basis.kind == "conformal":
         m = basis.signature.m
         for n, F in enumerate(basis.elements):
-            # the units x^alpha d^beta of F's completion key: |beta| < rank, |alpha| <= degree
+            # Units x^alpha d^beta with |beta| < rank and |alpha| <= D bound what F's
+            # completion builds: a lead term has weight <= D - rank, so a unit of a
+            # grade its remainder reaches has |alpha| <= D - 1 (D at rank 0).
             units = comb(max(F.rank, 1) - 1 + m, m) * comb(max(F.max_degree(), 0) + m, m)
             if units > MAX_UNKNOWNS:
                 raise ConfigError(

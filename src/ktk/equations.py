@@ -27,6 +27,7 @@ from .tensors import (
     Signature,
     SymMultiIndex,
     SymTensorField,
+    _check_family,
     _json_int,
     _project_scaled,
     _scaled,
@@ -275,10 +276,7 @@ class DefiningSystem(Record, frozen=True):
     signature: Signature
 
     def __post_init__(self):
-        if self.kind not in ("ordinary", "conformal"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.s < 1 or self.j < 0:
-            raise ValueError(f"invalid (j={self.j}, s={self.s})")
+        _check_family(self.kind, self.j, self.s)
 
     def residual(self, F: SymTensorField) -> SymTensorField:
         if F.rank != self.j or F.signature != self.signature:

@@ -6,9 +6,9 @@ d * x = x * d + 1 into that form.  Symmetry operators of the wave operator
 are assembled from symmetric tensor fields by nested anticommutators, and
 the symmetry condition [Q, L] = alpha * L is decided by exact division of
 the commutator's symbol by the principal quadratic form.  The lower-order
-completion of a conformal field is a linear solve whose factored form is
-cached once per (signature, rank, degree bound) and split by Weyl grade, and
-every completed operator is certified by that same exact division.
+completion of a conformal field is a linear solve whose factored blocks are
+cached once per (signature, rank, Weyl grade), and every completed operator
+is certified by that same exact division.
 """
 
 from __future__ import annotations
@@ -285,11 +285,11 @@ def _invert(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     ]
 
 
-# Completion data per (signature, rank, degree bound).  For each Weyl grade
-# of the remainders: the unit terms of its greedy independent columns, the
-# remainder labels on which those columns are invertible, and the sparse rows
-# of that square block's exact inverse.
-_COMPLETION_CACHE: dict[tuple[Signature, int, int], dict] = {}
+# Completion blocks per (signature, rank, Weyl grade of the remainder): the
+# unit terms of the grade's greedy independent columns, the remainder labels
+# on which those columns are invertible, and the sparse rows of that square
+# block's exact inverse; None for a grade that no column reaches.
+_COMPLETION_CACHE: dict[tuple[Signature, int, tuple], tuple | None] = {}
 
 
 def _grade(x_exps: tuple, d_exps: tuple) -> tuple:
@@ -299,43 +299,41 @@ def _grade(x_exps: tuple, d_exps: tuple) -> tuple:
     )
 
 
-def _completion_data(sig: Signature, rank: int, max_x: int) -> dict:
-    key = (sig, rank, max_x)
-    cached = _COMPLETION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m = sig.m
-    box = KGFOperator(sig).principal()
+def _grade_units(m: int, rank: int, grade: tuple) -> list[tuple]:
+    """The units x^alpha d^beta, |beta| < rank, whose columns can fall in the
+    remainder grade `grade`, by beta and then alpha in graded-lex order.
+    [box, .] lowers the weight by 2 and keeps each parity, and the division
+    by box keeps the grade, so a unit's grade is `grade` with weight + 2."""
+    unit_grade = (grade[0] + 2,) + grade[1:]
     d_monos = monomials_upto(m, max(rank, 1) - 1)
-    x_monos = monomials_upto(m, max_x)
-    # Column (x, d) is the remainder of [box, x^alpha d^beta] modulo box; both
-    # steps keep the Weyl grade, so every column lies in one grade block.
-    blocks: dict[tuple, tuple[list, list]] = {}
-    for d_exps in d_monos:
-        for x_exps in x_monos:
-            unit = WeylOp(m, {(x_exps, d_exps): 1})
-            _, r = divide_by_principal(commutator(box, unit), sig)
-            if r:
-                units, cols = blocks.setdefault(_grade(*next(iter(r.terms))), ([], []))
-                units.append((x_exps, d_exps))
-                cols.append(r.terms)
-    data = {}
-    for grade, (units, cols) in blocks.items():
-        keep = independent_subset(cols)
-        by_label: dict[tuple, dict] = {}
-        for i, n in enumerate(keep):
-            for lab, v in cols[n].items():
-                by_label.setdefault(lab, {})[i] = v
-        labels = sorted(by_label)
-        # Independent rows of the kept columns: a square block to invert.
-        rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
-        data[grade] = (
-            [units[n] for n in keep],
-            rows,
-            _invert([by_label[lab] for lab in rows]),
-        )
-    _COMPLETION_CACHE[key] = data
-    return data
+    x_monos = monomials_upto(m, unit_grade[0] + sum(d_monos[-1]))
+    return [(x, d) for d in d_monos for x in x_monos if _grade(x, d) == unit_grade]
+
+
+def _completion_block(sig: Signature, rank: int, grade: tuple) -> tuple | None:
+    key = (sig, rank, grade)
+    if key in _COMPLETION_CACHE:
+        return _COMPLETION_CACHE[key]
+    box = KGFOperator(sig).principal()
+    # Column (x, d) is the remainder of [box, x^alpha d^beta] modulo box.
+    units, cols = [], []
+    for unit in _grade_units(sig.m, rank, grade):
+        _, r = divide_by_principal(commutator(box, WeylOp(sig.m, {unit: 1})), sig)
+        if r:
+            units.append(unit)
+            cols.append(r.terms)
+    keep = independent_subset(cols)
+    by_label: dict[tuple, dict] = {}
+    for i, n in enumerate(keep):
+        for lab, v in cols[n].items():
+            by_label.setdefault(lab, {})[i] = v
+    labels = sorted(by_label)
+    # Independent rows of the kept columns: a square block to invert.
+    rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
+    inverse = _invert([by_label[lab] for lab in rows])
+    block = ([units[n] for n in keep], rows, inverse) if units else None
+    _COMPLETION_CACHE[key] = block
+    return block
 
 
 def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
@@ -346,36 +344,35 @@ def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
     term), so a lower-order part is added: terms x^alpha d^beta of derivative
     order < rank, chosen so that the commutator with the principal part
     divides exactly.  That solve is linear in F, and its columns (the
-    remainders of [box, x^alpha d^beta]) depend only on the signature, the
-    rank and the degree bound, so `_completion_data` factors them once per
-    such key, one block per Weyl grade (`_grade`), which [box, .] and the
-    division keep.  A field then costs one sparse product per grade its
-    remainder touches.  The result, the unique solution that is zero off the
-    greedy independent columns, is certified by exact division, or
+    remainders of [box, x^alpha d^beta]) split by Weyl grade (`_grade`), which
+    [box, .] and the division keep, and depend only on the signature and the
+    rank.  So `_completion_block` factors each grade's block once, when a
+    remainder first reaches it, and a field costs one sparse product per grade
+    its remainder touches.  The result, the unique solution that is zero off
+    the greedy independent columns, is certified by exact division, or
     ValueError.
     """
     sig = F.signature
-    m = sig.m
     box = KGFOperator(sig).principal()
     lead = build_symmetry_operator(F)
     _, rem = divide_by_principal(commutator(box, lead), sig)
     if rem.is_zero():
         return lead
-    data = _completion_data(sig, F.rank, max(F.max_degree(), 0))
     targets: dict[tuple, dict] = {}
     for key, c in rem.terms.items():
         targets.setdefault(_grade(*key), {})[key] = c
     terms = {}
     for grade, target in targets.items():
-        if grade not in data:
+        block = _completion_block(sig, F.rank, grade)
+        if block is None:
             raise ValueError("field does not extend to a symmetry operator")
-        units, rows, inverse = data[grade]
+        units, rows, inverse = block
         rhs = {k: -target[lab] for k, lab in enumerate(rows) if lab in target}
         for unit, inv_row in zip(units, inverse):
             c = sum((v * rhs[k] for k, v in inv_row.items() if k in rhs), Fraction(0))
             if c:
                 terms[unit] = c
-    correction = WeylOp(m, terms)
+    correction = WeylOp(sig.m, terms)
     # The remainder is linear, so [box, lead + correction] divides exactly
     # iff the correction's remainder cancels the lead's.
     if not (rem + divide_by_principal(commutator(box, correction), sig)[1]).is_zero():

@@ -32,6 +32,7 @@ from .tensors import (
     Signature,
     SymMultiIndex,
     SymTensorField,
+    _check_family,
     _trace_scaled,
     enumerate_indices,
     index_content,
@@ -200,10 +201,7 @@ class AnsatzSpec(Record):
     max_degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ordinary", "conformal"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.j < 0 or self.s < 1:
-            raise ValueError(f"invalid (j={self.j}, s={self.s})")
+        _check_family(self.kind, self.j, self.s)
 
     def resolved_degree(self) -> int:
         if self.max_degree is not None:
@@ -324,11 +322,8 @@ def _mapped_nullspace(src: tuple, null: list[dict], dst: tuple, image: list[int]
     mapped = {frozenset((moved[c], v) for c, v in row.items()) for row in src_rows}
     if mapped != {frozenset(row.items()) for row in dst_rows}:
         return None
-    int_rows = []
-    for vec in null:
-        scale = lcm(*(v.denominator for v in vec.values()))
-        int_rows.append({moved[c]: v.numerator * (scale // v.denominator) for c, v in vec.items()})
-    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in reduce(int_rows)]
+    reduced = reduce(clear_row(vec, moved) for vec in null)
+    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in reduced]
 
 
 def _solve_blocks(labels, rows, key_of, signature: Signature) -> list[dict[int, Fraction]]:

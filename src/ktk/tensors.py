@@ -424,6 +424,14 @@ def contract_x(F: SymTensorField, metric: bool = True) -> SymTensorField:
     return SymTensorField(F.rank - 1, sig, out)
 
 
+def _check_family(kind: str, j: int, s: int) -> None:
+    """The (kind, j, s) check of a defining system, an ansatz and a basis."""
+    if kind not in ("ordinary", "conformal"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if j < 0 or s < 1:
+        raise ValueError(f"invalid (j={j}, s={s})")
+
+
 class Basis(Record):
     """Ordered list of fields solving one defining system."""
 
@@ -437,10 +445,7 @@ class Basis(Record):
     def __post_init__(self):
         if self.elements is None:
             self.elements = []
-        if self.kind not in ("ordinary", "conformal"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.j < 0 or self.s < 1:
-            raise ValueError(f"invalid (j={self.j}, s={self.s})")
+        _check_family(self.kind, self.j, self.s)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -915,8 +915,8 @@ def test_wide_signature_file_finishes(tmp_path, command):
 
 def test_op_check_refuses_oversized_completion(tmp_path):
     """One x1^20 term at index (1, 1, 2) of a conformal j=3 (1,3) file asks
-    for a completion key of C(6, 4) * C(24, 4) = 159 390 units; op-check
-    refuses it before building any key, with exit 2 and one error."""
+    for a completion of C(6, 4) * C(24, 4) = 159 390 units; op-check
+    refuses it before building any block, with exit 2 and one error."""
     sig = Signature(1, 3)
     F = SymTensorField(3, sig, {(1, 1, 2): Poly.monomial((20, 0, 0, 0))})
     path = tmp_path / "steep.json"

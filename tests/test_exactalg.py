@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ktk import AnsatzSpec, Poly, Signature, WeylOp, operators
 from ktk.exactalg import clear_row, echelon, grlex_key, monomials_upto, reduce
-from ktk.operators import _completion_data, _invert
+from ktk.operators import _invert
 from ktk.solver import (
     _ansatz_rows,
     _content_key,
@@ -322,7 +322,7 @@ def test_nullspace_sparse_equals_oracle(kind, j, p, q):
 
 
 def test_invert_equals_oracle_on_completion_key(monkeypatch):
-    """Every square block that the conformal j=2 (1,3) completion key inverts."""
+    """Every square block that completing the conformal j=2 (1,3) basis inverts."""
     blocks = []
 
     def recording(matrix):
@@ -331,10 +331,11 @@ def test_invert_equals_oracle_on_completion_key(monkeypatch):
 
     monkeypatch.setattr(operators, "_COMPLETION_CACHE", {})
     monkeypatch.setattr(operators, "_invert", recording)
-    _completion_data(Signature(1, 3), 2, 4)
+    for F in solution_family("conformal", 2, 1, 1, 3).elements:
+        operators.conformal_symmetry_operator(F)
     assert len(blocks) > 10
     for rows in blocks:
-        # the key hands over its nonzero entries only
+        # a block hands over its nonzero entries only
         assert all(v for row in rows for v in row.values())
         inverse = _invert(rows)
         assert all(v for row in inverse for v in row.values())

@@ -23,7 +23,8 @@ from ktk import (
     killing_vectors,
     lie_closure_check,
 )
-from ktk.operators import _completion_data, _grade, _invert
+from ktk import operators
+from ktk.operators import _completion_block, _grade, _grade_units, _invert
 from ktk.solver import in_rational_span
 
 from conftest import EUCLID, SIGS_BY_M, generative_basis, solution_family
@@ -323,8 +324,7 @@ class TestConformalOperators:
     def test_remainder_in_grade_without_columns_raises(self):
         field = SymTensorField(1, E3, {(2,): Poly.variable(1, 3)})
         rem = _lead_remainder(field)
-        blocks = _completion_data(E3, 1, 1)
-        assert rem and not any(_grade(*key) in blocks for key in rem.terms)
+        assert rem and all(_completion_block(E3, 1, _grade(*key)) is None for key in rem.terms)
         with pytest.raises(ValueError):
             conformal_symmetry_operator(field)
 
@@ -332,8 +332,9 @@ class TestConformalOperators:
         """Every grade has columns, but no combination cancels the remainder."""
         field = SymTensorField(1, E3, {(1,): Poly.monomial((0, 2, 0))})
         rem = _lead_remainder(field)
-        blocks = _completion_data(E3, 1, 2)
-        assert rem and all(_grade(*key) in blocks for key in rem.terms)
+        assert rem and all(
+            _completion_block(E3, 1, _grade(*key)) is not None for key in rem.terms
+        )
         with pytest.raises(ValueError):
             conformal_symmetry_operator(field)
 
@@ -411,7 +412,7 @@ class TestCompletionOracle:
             assert conformal_symmetry_operator(F) == _per_field_completion(F)
 
     def test_exact_inverse(self):
-        """`_invert`, which gives the completion key its square blocks' inverses."""
+        """`_invert`, which gives the completion blocks their inverses."""
         F = Fraction
         assert _invert([{0: F(2), 1: F(1)}, {0: F(1), 1: F(1)}]) == [
             {0: 1, 1: -1},
@@ -420,6 +421,40 @@ class TestCompletionOracle:
         assert _invert([{1: F(1, 2)}, {0: F(3)}]) == [{1: F(1, 3)}, {0: 2}]
         with pytest.raises(ValueError, match="singular"):
             _invert([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}])
+
+
+class TestCompletionBlocks:
+    @pytest.mark.parametrize("sig", [E3, Signature(2, 1), Signature(1, 3)])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_reached_units_within_op_check_bound(self, sig, j):
+        """A lead term has weight at most D - rank, so a unit of a reached
+        grade has |alpha| <= D - 1 (D for rank 0), inside the C(max(r,1)-1+m, m)
+        C(D+m, m) units that op-check's size check counts per element."""
+        for F in solution_family("conformal", j, 1, sig.p, sig.q).elements:
+            D = max(F.max_degree(), 0)
+            for grade in {_grade(*key) for key in _lead_remainder(F).terms}:
+                for x_exps, d_exps in _grade_units(sig.m, F.rank, grade):
+                    assert sum(x_exps) <= D - min(F.rank, 1)
+                    assert sum(d_exps) <= max(F.rank, 1) - 1
+
+    def test_each_unit_column_is_built_once(self, monkeypatch):
+        """Completing a whole basis builds each unit's column at most once,
+        however many element degrees the basis has."""
+        built = []
+
+        def recording(A, B):
+            if len(B.terms) == 1 and set(B.terms.values()) == {1}:
+                built.append(next(iter(B.terms)))
+            return commutator(A, B)
+
+        monkeypatch.setattr(operators, "_COMPLETION_CACHE", {})
+        monkeypatch.setattr(operators, "commutator", recording)
+        basis = solution_family("conformal", 2, 1, 1, 3)
+        assert len({F.max_degree() for F in basis.elements}) > 1
+        for F in basis.elements:
+            conformal_symmetry_operator(F)
+        assert len(built) > 100
+        assert len(built) == len(set(built))
 
 
 class TestLieClosure:
