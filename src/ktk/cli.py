@@ -268,9 +268,11 @@ def _run_op_check(args) -> int:
         kappa2 = Fraction(args.kappa2)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"--kappa2 must be rational, got {args.kappa2!r}")
-    if basis.kind == "conformal":
-        m = basis.signature.m
-        for n, F in enumerate(basis.elements):
+    m = basis.signature.m
+    for n, F in enumerate(basis.elements):
+        if F.rank != basis.j or F.signature != basis.signature:
+            raise ConfigError(f"element {n}: rank/signature mismatch")
+        if basis.kind == "conformal":
             # Units x^alpha d^beta with |beta| < rank and |alpha| <= D bound what F's
             # completion builds: a lead term has weight <= D - rank, so a unit of a
             # grade its remainder reaches has |alpha| <= D - 1 (D at rank 0).
@@ -287,8 +289,6 @@ def _run_op_check(args) -> int:
     results = []
     ok = True
     for n, F in enumerate(basis.elements):
-        if F.rank != basis.j or F.signature != basis.signature:
-            raise ConfigError(f"element {n}: rank/signature mismatch")
         try:
             Q = build(F)
         except ValueError as exc:

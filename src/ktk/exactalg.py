@@ -11,7 +11,7 @@ This bottom layer also holds the package's only exact linear algebra:
 `echelon` (one fraction-free forward pass) and `reduce` (its rows in
 reduced echelon form, still integers), with `clear_row` to bring rational
 rows to integers.  Ranks elsewhere are read from `echelon`; every
-nullspace, span test, matrix inverse and canonical basis from `reduce`.
+nullspace, span solution and operator completion block from `reduce`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ d * x = x * d + 1 into that form.  Symmetry operators of the wave operator
 are assembled from symmetric tensor fields by nested anticommutators, and
 the symmetry condition [Q, L] = alpha * L is decided by exact division of
 the commutator's symbol by the principal quadratic form.  The lower-order
-completion of a conformal field is a linear solve whose factored blocks are
-cached once per (signature, rank, Weyl grade), and every completed operator
+completion of a conformal field is a linear solve whose blocks are each
+reduced once per (signature, rank, Weyl grade), and every completed operator
 is certified by that same exact division.
 """
 
@@ -27,7 +27,7 @@ from .exactalg import (
     monomials_upto,
     reduce,
 )
-from .solver import independent_subset, span_dim
+from .solver import span_dim
 from .tensors import Record, Signature, SymTensorField
 
 
@@ -271,25 +271,11 @@ def check_symmetry(Q: WeylOp, L: KGFOperator) -> SymmetryReport:
     )
 
 
-def _invert(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Exact inverse of the square matrix whose row k has the entries rows[k]
-    (column: value, zeros left out), its rows in the same sparse form:
-    [M | -I] reduces to rows R[r] = R[r][r] (e_r | -M^-1[r])."""
-    n = len(rows)
-    reduced = reduce(clear_row({**row, n + k: -1}) for k, row in enumerate(rows))
-    if [col for col, _ in reduced] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [
-        {c - n: Fraction(-v, row[r]) for c, v in row.items() if c >= n}
-        for r, row in reduced
-    ]
-
-
-# Completion blocks per (signature, rank, Weyl grade of the remainder): the
-# unit terms of the grade's greedy independent columns, the remainder labels
-# on which those columns are invertible, and the sparse rows of that square
-# block's exact inverse; None for a grade that no column reaches.
-_COMPLETION_CACHE: dict[tuple[Signature, int, tuple], tuple | None] = {}
+# Completion blocks per (signature, rank, Weyl grade of the remainder): one
+# (unit, form) pair per greedy independent column of the grade, in column
+# order, where the form {label: weight} reads that unit's coefficient off a
+# right-hand side in the columns' span; None for a grade that no column reaches.
+_COMPLETION_CACHE: dict[tuple[Signature, int, tuple], list | None] = {}
 
 
 def _grade(x_exps: tuple, d_exps: tuple) -> tuple:
@@ -310,28 +296,29 @@ def _grade_units(m: int, rank: int, grade: tuple) -> list[tuple]:
     return [(x, d) for d in d_monos for x in x_monos if _grade(x, d) == unit_grade]
 
 
-def _completion_block(sig: Signature, rank: int, grade: tuple) -> tuple | None:
+def _completion_block(sig: Signature, rank: int, grade: tuple) -> list | None:
     key = (sig, rank, grade)
     if key in _COMPLETION_CACHE:
         return _COMPLETION_CACHE[key]
     box = KGFOperator(sig).principal()
-    # Column (x, d) is the remainder of [box, x^alpha d^beta] modulo box.
-    units, cols = [], []
-    for unit in _grade_units(sig.m, rank, grade):
-        _, r = divide_by_principal(commutator(box, WeylOp(sig.m, {unit: 1})), sig)
-        if r:
-            units.append(unit)
-            cols.append(r.terms)
-    keep = independent_subset(cols)
+    # Column i of A is the remainder of [box, units[i]] modulo box.
+    units = _grade_units(sig.m, rank, grade)
     by_label: dict[tuple, dict] = {}
-    for i, n in enumerate(keep):
-        for lab, v in cols[n].items():
+    for i, unit in enumerate(units):
+        _, r = divide_by_principal(commutator(box, WeylOp(sig.m, {unit: 1})), sig)
+        for lab, v in r.terms.items():
             by_label.setdefault(lab, {})[i] = v
     labels = sorted(by_label)
-    # Independent rows of the kept columns: a square block to invert.
-    rows = [labels[r] for r in independent_subset([by_label[lab] for lab in labels])]
-    inverse = _invert([by_label[lab] for lab in rows])
-    block = ([units[n] for n in keep], rows, inverse) if units else None
+    # Reduce the rows (A[l] | e_l).  The n unit columns come first, so their
+    # pivots are the greedy independent columns, and pivot p's row (R | E)
+    # gives x_p = E . b / R[p] in the solution of A x = b that is zero off them.
+    n = len(units)
+    reduced = reduce(clear_row({**by_label[lab], n + k: 1}) for k, lab in enumerate(labels))
+    block = [
+        (units[p], {labels[c - n]: Fraction(v, row[p]) for c, v in row.items() if c >= n})
+        for p, row in reduced
+        if p < n
+    ] or None
     _COMPLETION_CACHE[key] = block
     return block
 
@@ -346,11 +333,11 @@ def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
     divides exactly.  That solve is linear in F, and its columns (the
     remainders of [box, x^alpha d^beta]) split by Weyl grade (`_grade`), which
     [box, .] and the division keep, and depend only on the signature and the
-    rank.  So `_completion_block` factors each grade's block once, when a
-    remainder first reaches it, and a field costs one sparse product per grade
-    its remainder touches.  The result, the unique solution that is zero off
-    the greedy independent columns, is certified by exact division, or
-    ValueError.
+    rank.  So `_completion_block` reduces each grade's block once, when a
+    remainder first reaches it, and a field costs one linear form per greedy
+    independent column of each grade its remainder touches.  The result, the
+    unique solution that is zero off the greedy independent columns, is
+    certified by exact division, or ValueError.
     """
     sig = F.signature
     box = KGFOperator(sig).principal()
@@ -366,10 +353,8 @@ def conformal_symmetry_operator(F: SymTensorField) -> WeylOp:
         block = _completion_block(sig, F.rank, grade)
         if block is None:
             raise ValueError("field does not extend to a symmetry operator")
-        units, rows, inverse = block
-        rhs = {k: -target[lab] for k, lab in enumerate(rows) if lab in target}
-        for unit, inv_row in zip(units, inverse):
-            c = sum((v * rhs[k] for k, v in inv_row.items() if k in rhs), Fraction(0))
+        for unit, form in block:
+            c = -sum((w * target[lab] for lab, w in form.items() if lab in target), Fraction(0))
             if c:
                 terms[unit] = c
     correction = WeylOp(sig.m, terms)

@@ -86,12 +86,6 @@ def matrix_rank(matrix: list[list]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _labeled_to_int_rows(vectors: list[dict]) -> list[dict[int, int]]:
-    labels = sorted({k for v in vectors for k in v})
-    pos = {k: i for i, k in enumerate(labels)}
-    return [clear_row(v, pos) for v in vectors]
-
-
 def _transposed_rows(vectors: list[dict]) -> list[dict[int, int]]:
     """Integer rows of the matrix whose column n is vectors[n], in label order."""
     by_label: dict = {}
@@ -102,8 +96,9 @@ def _transposed_rows(vectors: list[dict]) -> list[dict[int, int]]:
 
 
 def span_dim(vectors: list[dict]) -> int:
-    """Dimension of the rational span of sparse labeled vectors."""
-    return len(echelon(_labeled_to_int_rows(vectors)))
+    """Dimension of the rational span of sparse labeled vectors: the rank of
+    the transposed system, so the size of a maximal independent subset."""
+    return len(independent_subset(vectors))
 
 
 def same_span(avecs: list[dict], bvecs: list[dict]) -> bool:

@@ -1,5 +1,6 @@
 """Shared helpers: signatures, random field generators, the generative basis
-oracle and the solution families it builds."""
+oracle and the solution families it builds, and the dense oracles (the exact
+inverse `_invert` and the traceless projector columns it serves)."""
 
 import itertools
 import random
@@ -35,7 +36,6 @@ from ktk.solver import (
     unknown_labels,
     vectors_to_fields,
 )
-from ktk.operators import _invert
 from ktk.tensors import _project_scaled
 
 EUCLID = {m: Signature(m, 0) for m in (1, 2, 3, 4)}
@@ -193,6 +193,20 @@ def all_blocks_nullspace(labels: list, rows: dict, key_of) -> list[dict]:
     ]
     out.sort(key=min)
     return out
+
+
+def _invert(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Exact inverse of the square matrix whose row k has the entries rows[k]
+    (column: value, zeros left out), its rows in the same sparse form:
+    [M | -I] reduces to rows R[r] = R[r][r] (e_r | -M^-1[r])."""
+    n = len(rows)
+    reduced = reduce(clear_row({**row, n + k: -1}) for k, row in enumerate(rows))
+    if [col for col, _ in reduced] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [
+        {c - n: Fraction(-v, row[r]) for c, v in row.items() if c >= n}
+        for r, row in reduced
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -933,6 +933,20 @@ def test_op_check_refuses_oversized_completion(tmp_path):
     }
 
 
+def test_op_check_reports_wrong_rank_before_size(capsys, tmp_path):
+    """Element 0 of a conformal j=2 (1,3) file with rank 30 would ask for
+    C(33, 4) = 40 920 units, but its rank is the fault that op-check names."""
+    data = solve_basis(AnsatzSpec("conformal", 2, 1, Signature(1, 3))).to_json()
+    el = data["elements"][0]
+    el["rank"] = 30
+    el["components"] = [{**el["components"][0], "index": [1] * 30}]
+    path = tmp_path / "rank30.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "op-check", str(path), "--format", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "element 0: rank/signature mismatch"}
+
+
 @pytest.mark.parametrize("rank, degree", [(2, 4), (4, 8)])
 def test_op_check_admits_the_paper_completion_keys(monkeypatch, capsys, rank, degree):
     """The size check admits the keys of the paper's tables: conformal j=2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ktk import AnsatzSpec, Poly, Signature, WeylOp, operators
 from ktk.exactalg import clear_row, echelon, grlex_key, monomials_upto, reduce
-from ktk.operators import _invert
 from ktk.solver import (
     _ansatz_rows,
     _content_key,
@@ -23,12 +22,19 @@ from ktk.solver import (
     _unknown_items,
     fields_to_vectors,
     in_rational_span,
+    independent_subset,
     unknown_labels,
     vectors_to_fields,
 )
 from ktk.tensors import Basis
 
-from conftest import back_substitute, canonical_basis, generative_family, solution_family
+from conftest import (
+    _invert,
+    back_substitute,
+    canonical_basis,
+    generative_family,
+    solution_family,
+)
 
 
 def x(axis, dim=2):
@@ -321,25 +327,35 @@ def test_nullspace_sparse_equals_oracle(kind, j, p, q):
         assert [list(vec) for vec in got] == [list(vec) for vec in want]
 
 
-def test_invert_equals_oracle_on_completion_key(monkeypatch):
-    """Every square block that completing the conformal j=2 (1,3) basis inverts."""
-    blocks = []
-
-    def recording(matrix):
-        blocks.append(matrix)
-        return _invert(matrix)
-
+def test_completion_block_equals_oracle(monkeypatch):
+    """Every block that completing the conformal j=2 (1,3) basis reaches: its
+    units are the grade's greedy independent columns, and its forms solve
+    each column of the grade as `_span_oracle` does on the kept columns."""
     monkeypatch.setattr(operators, "_COMPLETION_CACHE", {})
-    monkeypatch.setattr(operators, "_invert", recording)
     for F in solution_family("conformal", 2, 1, 1, 3).elements:
         operators.conformal_symmetry_operator(F)
+    blocks = {key: block for key, block in operators._COMPLETION_CACHE.items() if block}
     assert len(blocks) > 10
-    for rows in blocks:
-        # a block hands over its nonzero entries only
-        assert all(v for row in rows for v in row.values())
-        inverse = _invert(rows)
-        assert all(v for row in inverse for v in row.values())
-        assert _dense(inverse) == _invert_oracle(_dense(rows))
+    for (sig, rank, grade), block in blocks.items():
+        box = operators.kgf(sig).principal()
+        units = operators._grade_units(sig.m, rank, grade)
+        cols = [
+            operators.divide_by_principal(
+                operators.commutator(box, WeylOp(sig.m, {unit: 1})), sig
+            )[1].terms
+            for unit in units
+        ]
+        keep = independent_subset(cols)
+        assert [unit for unit, _ in block] == [units[n] for n in keep]
+        # a form keeps its nonzero weights only
+        assert all(w for _, form in block for w in form.values())
+        kept = [cols[n] for n in keep]
+        for b in cols:
+            got = [
+                sum((w * b[lab] for lab, w in form.items() if lab in b), Fraction(0))
+                for _, form in block
+            ]
+            assert got == _span_oracle(kept, b)
 
 
 def _dense(rows: list[dict]) -> list[list[Fraction]]:

@@ -1,4 +1,5 @@
-"""Golden digests: solver bases, prolonged systems and the traceless projector.
+"""Golden digests: solver bases, prolonged systems, the traceless projector and
+the symmetry operators built from a basis.
 
 Each digest is the sha256 of a canonical JSON rendering (sorted keys, no
 whitespace) of one output.  They pin the exact bytes, so a refactor of the
@@ -17,6 +18,10 @@ from ktk import (
     Poly,
     Signature,
     SymTensorField,
+    build_symmetry_operator,
+    check_symmetry,
+    conformal_symmetry_operator,
+    kgf,
     prolong,
     solve_basis,
     traceless_project,
@@ -72,6 +77,15 @@ TRACELESS = {
 }
 
 
+# The operator of each order-1 basis element and its alpha for kappa^2 = 3/7.
+OPERATORS = {
+    ("conformal", 2, 1, 3): "610c9cc97d282a45bba87eb141ae77c9f53b015d0798ab722c8c39180cf61145",
+    ("conformal", 3, 3, 0): "317e129ad5160a5baff2af70e57c774ad516bf4e2468e22d1ce948e0d23caea0",
+    ("conformal", 2, 2, 1): "9c13ed26d07a154693eb99a44e45c33ffef57a0a2a8598e716bebf29759b7d8f",
+    ("ordinary", 2, 2, 2): "3b6c0c823fd1a2b9b1b14086f467aecbe28916823ee2896e2a2ad1f5fd89acce",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BASES), ids=str)
 def test_solver_basis(case):
     kind, j, s, p, q = case
@@ -92,3 +106,16 @@ def test_traceless_projection_rank4():
 @pytest.mark.parametrize("rank", sorted(TRACELESS))
 def test_traceless_projection_higher_rank(rank):
     assert digest(traceless_project(fixed_field(rank)).to_json()) == TRACELESS[rank]
+
+
+@pytest.mark.parametrize("case", sorted(OPERATORS), ids=str)
+def test_symmetry_operators(case):
+    kind, j, p, q = case
+    sig = Signature(p, q)
+    build = conformal_symmetry_operator if kind == "conformal" else build_symmetry_operator
+    L = kgf(sig, Fraction(3, 7))
+    out = []
+    for F in solve_basis(AnsatzSpec(kind, j, 1, sig)).elements:
+        Q = build(F)
+        out.append({"Q": Q.to_json(), "alpha": check_symmetry(Q, L).alpha.to_json()})
+    assert digest(out) == OPERATORS[case]

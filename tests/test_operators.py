@@ -24,10 +24,10 @@ from ktk import (
     lie_closure_check,
 )
 from ktk import operators
-from ktk.operators import _completion_block, _grade, _grade_units, _invert
+from ktk.operators import _completion_block, _grade, _grade_units
 from ktk.solver import in_rational_span
 
-from conftest import EUCLID, SIGS_BY_M, generative_basis, solution_family
+from conftest import EUCLID, SIGS_BY_M, _invert, generative_basis, solution_family
 
 E2 = Signature(2, 0)
 E3 = Signature(3, 0)
@@ -412,7 +412,7 @@ class TestCompletionOracle:
             assert conformal_symmetry_operator(F) == _per_field_completion(F)
 
     def test_exact_inverse(self):
-        """`_invert`, which gives the completion blocks their inverses."""
+        """`_invert`, the inverse that the dense projector oracle reads."""
         F = Fraction
         assert _invert([{0: F(2), 1: F(1)}, {0: F(1), 1: F(1)}]) == [
             {0: 1, 1: -1},

@@ -243,7 +243,7 @@ class TestFactoredProjection:
         assert _nonzero_terms(got, den) == _nonzero_terms(expect, 1)
 
     def test_verify_builds_no_projector_columns(self, monkeypatch):
-        """`verify` inverts no matrix, so its cost follows the file, not the
+        """`verify` reduces no matrix, so its cost follows the file, not the
         signature: the rank-3 file on [48, 0] has one constant element, and
         its rank-4 residual has C(51, 4) indices."""
         sig48 = Signature(48, 0)
@@ -254,10 +254,11 @@ class TestFactoredProjection:
             Basis("conformal", 3, 1, sig48, [SymTensorField(3, sig48, {(1, 2, 3): 1})], 4),
         ]
 
-        def refuse(matrix):
-            raise AssertionError("verify inverted a matrix")
+        def refuse(rows):
+            raise AssertionError("verify reduced a matrix")
 
-        monkeypatch.setattr(operators, "_invert", refuse)
+        monkeypatch.setattr(solver, "reduce", refuse)
+        monkeypatch.setattr(operators, "reduce", refuse)
         assert not [name for name in vars(tensors) if name.endswith("_CACHE")]
         for basis in bases:
             assert solver.verify_basis(basis) == []
